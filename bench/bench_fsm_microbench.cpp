@@ -118,8 +118,11 @@ void BM_BusStepPerNode(benchmark::State& state) {
   can::WiredAndBus bus{sim::BusSpeed{500'000}};
   std::vector<std::unique_ptr<can::BitController>> nodes;
   for (int i = 0; i < state.range(0); ++i) {
-    nodes.push_back(
-        std::make_unique<can::BitController>("n" + std::to_string(i)));
+    // Appended, not `"n" + std::to_string(i)`: GCC 12 -O3 raises a
+    // false-positive -Wrestrict on that concatenation inside libstdc++.
+    std::string name = "n";
+    name.append(std::to_string(i));
+    nodes.push_back(std::make_unique<can::BitController>(name));
     nodes.back()->attach_to(bus);
     can::attach_periodic(*nodes.back(),
                          can::CanFrame::make_pattern(

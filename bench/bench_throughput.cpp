@@ -1,52 +1,44 @@
 // Simulator self-profiling baseline: bits simulated per wall-clock second
 // across scenarios of increasing protocol activity, the speedup of the
-// word-level batched engine and the quiescence-skipping kernel over the
-// naive per-bit kernel, and the cost of the observability layer itself
-// (metrics-harvest share and timeline-capture on-vs-off overhead).
+// quiescence-skipping kernel over the naive per-bit kernel, and the cost of
+// the observability layer itself (metrics-harvest share and
+// timeline-capture on-vs-off overhead).
 //
 //   bench_throughput [--seeds N] [--report PATH]
 //
 // The workload mix comes from analysis::ScenarioRegistry — the same names
 // `michican_cli list-scenarios` prints — so a scenario row here and a
-// campaign invocation mean the same spec.  Every scenario runs under all
-// three engine tiers — batched (word engine + fast path), quiescence (fast
-// path alone) and naive per-bit; all three recordings are byte-identical
-// (the equivalence tests enforce it), so the speedup columns isolate pure
-// kernel cost.
+// campaign invocation mean the same spec.  Every scenario runs under both
+// engine tiers — quiescence (fast path, the default) and naive per-bit;
+// the two recordings are byte-identical (the equivalence tests enforce
+// it), so the speedup column isolates pure kernel cost.
 //
 // --seeds N controls the repetitions per scenario (default 3; each rep uses
 // its own seed so the recordings differ).  The sim_ms columns sum over
-// reps; the speedup columns compare the *fastest* rep of each engine
+// reps; the speedup column compares the *fastest* rep of each engine
 // (per-engine minima), which filters out scheduler preemption noise on
-// shared runners.  The report is "michican.throughput.v1":
+// shared runners.  The report is "michican.throughput.v2":
 //   {
-//     "schema": "michican.throughput.v1",
+//     "schema": "michican.throughput.v2",
 //     "reps": <n>, "duration_ms": <f>,
 //     "scenarios": [{"name": <str>, "bits": <u64>, "sim_ms": <f>,
 //                    "bits_per_second": <f>, "events": <u64>,
 //                    "busy_fraction": <f>, "bits_skipped": <u64>,
-//                    "bits_batched": <u64>,
-//                    "quiescence_sim_ms": <f>,
-//                    "quiescence_bits_per_second": <f>,
-//                    "quiescence_speedup": <f>,
 //                    "naive_sim_ms": <f>, "naive_bits_per_second": <f>,
-//                    "min_sim_ms": <f>, "min_quiescence_sim_ms": <f>,
-//                    "min_naive_sim_ms": <f>, "speedup": <f>}],
+//                    "min_sim_ms": <f>, "min_naive_sim_ms": <f>,
+//                    "speedup": <f>}],
 //     "fast_path_speedup": <f>,   // idle-heavy rest-bus row, quiescence/naive
-//     "batched_speedup": <f>,     // busy-bus row, batched engine over naive
 //     "overhead": {"scenario": <str>, "trace_off_ms": <f>,
 //                  "trace_on_ms": <f>, "trace_overhead_pct": <f>,
 //                  "metrics_phase_pct": <f>}
 //   }
-// "fast_path_speedup" gates the idle-heavy regime (quiescence skipping);
-// "batched_speedup" gates the busy-bus regime (word-level batching): the
-// run exits nonzero when it drops below the floor pinned in
-// bench/throughput_floor.json.  Like the golden traces, the pin updates
-// via an env var —
+// "fast_path_speedup" is gated in this binary: the run exits nonzero when
+// it drops below "fast_path_speedup_floor" in bench/throughput_floor.json.
+// Like the golden traces, the pin updates via an env var —
 //
 //   MICHICAN_UPDATE_FLOOR=1 ./bench_throughput
 //
-// rewrites the floor to 80% of the measured speedup (the margin absorbs
+// rewrites the floor to half the measured speedup (the margin absorbs
 // shared-runner timing noise) instead of gating.
 // Timings are wall clocks — the one intentionally non-deterministic output
 // in the BENCH_* family.  The metrics-harvest share should stay well below
@@ -57,7 +49,9 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -65,6 +59,7 @@
 #include "analysis/table.hpp"
 #include "obs/jsonfmt.hpp"
 #include "obs/timeline.hpp"
+#include "runner/argspec.hpp"
 #include "runner/cli.hpp"
 
 namespace {
@@ -74,13 +69,12 @@ using analysis::fmt;
 using obs::fmt_double;
 
 /// Registry names of the workload mix, in increasing protocol activity.
-/// kIdleHeavy is the CI reference row for the fast-path speedup gate: a
+/// kIdleHeavy is the reference row for the fast-path speedup gate: a
 /// periodic defender plus the replayed rest-bus matrix leaves most of the
 /// 50 kbit/s bus quiescent — exactly the regime the skipping kernel
-/// targets.  kBusyBus is the batched-engine reference row: an ~80% loaded
-/// rest-bus replay with the defense monitor off, so nearly every bit sits
-/// inside a long transparent horizon the word engine can resolve 64 at a
-/// time.  kOverheadScenario hosts the observability-cost measurement.
+/// targets.  busy-bus is the opposite end: an ~80% loaded rest-bus replay
+/// with the defense monitor off, where nearly every bit is stepped.
+/// kOverheadScenario hosts the observability-cost measurement.
 /// atk-flood-paced tracks the toolkit attack profiles: a rate-paced flood
 /// against the live defense with the rest-bus replay underneath.
 constexpr const char* kScenarioNames[] = {
@@ -88,66 +82,42 @@ constexpr const char* kScenarioNames[] = {
     "exp2",     "exp5",         "atk-flood-paced",
     "busy-bus", "dos-ber1e-4"};
 constexpr const char* kIdleHeavy = "restbus-idle";
-constexpr const char* kBusyBus = "busy-bus";
 constexpr const char* kOverheadScenario = "exp5";
-
-/// Which kernel configuration a flavour exercises.  The tiers are strictly
-/// ordered: each one enables everything the previous tier has.
-enum class Engine {
-  kNaive,       // per-bit stepping, no skipping, no batching
-  kQuiescence,  // idle-run skipping (fast path) on, batching off
-  kBatched,     // fast path + word-level batch engine (the default config)
-};
 
 struct ScenarioRun {
   std::string name;
-  // Batched-engine flavour — the shipping default — fills the primary
-  // columns; the quiescence_* / naive_* columns hold the comparison tiers.
+  // The quiescence tier — the shipping default — fills the primary
+  // columns; the naive_* columns hold the per-bit comparison tier.
   std::uint64_t bits{};
   double sim_ms{};      // wall clock inside bus.run, summed over reps
   double total_ms{};    // whole run_experiment wall clock, summed over reps
   double metrics_ms{};  // metrics-harvest phase, summed over reps
   std::uint64_t events{};
   std::uint64_t bits_skipped{};  // covered by the quiescence-skipping kernel
-  std::uint64_t bits_batched{};  // resolved word-at-a-time by the batch engine
   double busy_fraction{};        // of the last rep
-  double quiescence_sim_ms{};    // fast path on, batching off
-  std::uint64_t quiescence_bits{};
-  double naive_sim_ms{};  // same reps with both kernels off
+  double naive_sim_ms{};  // same reps with the fast path off
   std::uint64_t naive_bits{};
-  // Fastest single rep per engine.  The speedup columns (and the CI floor
+  // Fastest single rep per engine.  The speedup column (and the floor
   // gate) use these: each rep simulates the same bit count, so the ratio
   // of per-engine minima measures kernel cost with scheduler noise — a
   // real hazard on shared runners — filtered out, where a ratio of sums
   // lets one preempted rep swing the gate by 2-3x.
   double min_sim_ms{1e300};
-  double min_quiescence_sim_ms{1e300};
   double min_naive_sim_ms{1e300};
 
   [[nodiscard]] double bits_per_second() const {
     return sim_ms > 0 ? static_cast<double>(bits) / (sim_ms / 1e3) : 0.0;
-  }
-  [[nodiscard]] double quiescence_bits_per_second() const {
-    return quiescence_sim_ms > 0 ? static_cast<double>(quiescence_bits) /
-                                       (quiescence_sim_ms / 1e3)
-                                 : 0.0;
   }
   [[nodiscard]] double naive_bits_per_second() const {
     return naive_sim_ms > 0
                ? static_cast<double>(naive_bits) / (naive_sim_ms / 1e3)
                : 0.0;
   }
-  /// Batched-engine speedup over the naive kernel (1 = no gain), from the
-  /// fastest rep of each engine.
+  /// Quiescence-kernel speedup over the naive kernel (1 = no gain), from
+  /// the fastest rep of each engine.
   [[nodiscard]] double speedup() const {
     return min_sim_ms > 0 && min_naive_sim_ms < 1e300
                ? min_naive_sim_ms / min_sim_ms
-               : 0.0;
-  }
-  /// Quiescence-kernel speedup over naive (isolates skip gains alone).
-  [[nodiscard]] double quiescence_speedup() const {
-    return min_quiescence_sim_ms > 0 && min_naive_sim_ms < 1e300
-               ? min_naive_sim_ms / min_quiescence_sim_ms
                : 0.0;
   }
 };
@@ -160,29 +130,39 @@ std::string floor_path() {
   return std::string{MICHICAN_BENCH_DIR} + "/throughput_floor.json";
 }
 
-/// Read "batched_speedup_floor" out of the pinned floor file.  The file is
-/// a one-object JSON document we wrote ourselves, so a key scan is enough —
-/// no parser dependency.  Returns a negative value when the file or key is
-/// missing (the caller fails loudly: a silently absent floor is no gate).
+constexpr const char* kFloorKey = "\"fast_path_speedup_floor\":";
+
+/// Read "fast_path_speedup_floor" out of the pinned floor file.  The file
+/// is a one-object JSON document we wrote ourselves, so a key scan is
+/// enough — no parser dependency.  Returns a negative value when the file
+/// or key is missing or the value is malformed (the caller fails loudly: a
+/// silently absent floor is no gate).
 double read_pinned_floor() {
   std::ifstream in{floor_path()};
   if (!in) return -1.0;
   std::ostringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();
-  const std::string key = "\"batched_speedup_floor\":";
-  const auto at = text.find(key);
+  const auto at = text.find(kFloorKey);
   if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
+  const auto begin = at + std::string_view{kFloorKey}.size();
+  const auto end = text.find_first_of(",}", begin);
+  try {
+    return runner::parse_double_arg(text.substr(begin, end - begin),
+                                    "fast_path_speedup_floor");
+  } catch (const std::invalid_argument&) {
+    return -1.0;
+  }
 }
 
 bool write_pinned_floor(double floor) {
   std::string os;
-  os += "{\"schema\":\"michican.throughput_floor.v1\",";
-  os += "\"batched_speedup_floor\":" + fmt_double(floor) + ",";
-  os += "\"note\":\"Minimum busy-bus batched-engine speedup over the naive "
-        "per-bit kernel; bench_throughput fails below it.  Regenerate with "
-        "MICHICAN_UPDATE_FLOOR=1 (pins 80% of the measured speedup).\"}\n";
+  os += "{\"schema\":\"michican.throughput_floor.v2\",";
+  os += kFloorKey;
+  os += fmt_double(floor) + ",";
+  os += "\"note\":\"Minimum restbus-idle quiescence-kernel speedup over the "
+        "naive per-bit kernel; bench_throughput fails below it.  Regenerate "
+        "with MICHICAN_UPDATE_FLOOR=1 (pins half the measured speedup).\"}\n";
   return obs::write_text_file(floor_path(), os);
 }
 
@@ -195,42 +175,31 @@ analysis::ExperimentSpec bench_spec(const std::string& name,
 }
 
 /// Accumulate `reps` recordings of `spec` into `run` under one engine tier
-/// (batched fills the primary columns, the others their comparison ones).
+/// (the fast path fills the primary columns, naive its comparison ones).
 void accumulate(ScenarioRun& run, analysis::ExperimentSpec spec,
-                std::size_t reps, Engine engine, bool capture_timeline) {
-  spec.fast_path = engine != Engine::kNaive;
-  spec.batching = engine == Engine::kBatched;
+                std::size_t reps, bool fast_path, bool capture_timeline) {
+  spec.fast_path = fast_path;
   spec.capture_timeline = capture_timeline;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     spec.seed = 42 + rep;
     const auto res = analysis::run_experiment(spec);
     const auto bits = res.metrics.counter_value("bus.bits_simulated");
     const auto sim_ms = res.profile.total_ms("task.sim");
-    switch (engine) {
-      case Engine::kBatched:
-        run.bits += bits;
-        run.events += res.metrics.counter_value("bus.events");
-        run.sim_ms += sim_ms;
-        run.min_sim_ms = std::min(run.min_sim_ms, sim_ms);
-        for (const auto& [name, phase] : res.profile.phases()) {
-          run.total_ms += phase.total_ms;
-        }
-        run.metrics_ms += res.profile.total_ms("task.metrics");
-        run.bits_skipped += res.bits_skipped;
-        run.bits_batched += res.bits_batched;
-        run.busy_fraction = res.busy_fraction;
-        break;
-      case Engine::kQuiescence:
-        run.quiescence_bits += bits;
-        run.quiescence_sim_ms += sim_ms;
-        run.min_quiescence_sim_ms =
-            std::min(run.min_quiescence_sim_ms, sim_ms);
-        break;
-      case Engine::kNaive:
-        run.naive_bits += bits;
-        run.naive_sim_ms += sim_ms;
-        run.min_naive_sim_ms = std::min(run.min_naive_sim_ms, sim_ms);
-        break;
+    if (fast_path) {
+      run.bits += bits;
+      run.events += res.metrics.counter_value("bus.events");
+      run.sim_ms += sim_ms;
+      run.min_sim_ms = std::min(run.min_sim_ms, sim_ms);
+      for (const auto& [name, phase] : res.profile.phases()) {
+        run.total_ms += phase.total_ms;
+      }
+      run.metrics_ms += res.profile.total_ms("task.metrics");
+      run.bits_skipped += res.bits_skipped;
+      run.busy_fraction = res.busy_fraction;
+    } else {
+      run.naive_bits += bits;
+      run.naive_sim_ms += sim_ms;
+      run.min_naive_sim_ms = std::min(run.min_naive_sim_ms, sim_ms);
     }
   }
 }
@@ -239,11 +208,9 @@ ScenarioRun run_scenario(const std::string& name, double duration_ms,
                          std::size_t reps, bool capture_timeline) {
   ScenarioRun run;
   run.name = name;
-  accumulate(run, bench_spec(name, duration_ms), reps, Engine::kBatched,
+  accumulate(run, bench_spec(name, duration_ms), reps, /*fast_path=*/true,
              capture_timeline);
-  accumulate(run, bench_spec(name, duration_ms), reps, Engine::kQuiescence,
-             capture_timeline);
-  accumulate(run, bench_spec(name, duration_ms), reps, Engine::kNaive,
+  accumulate(run, bench_spec(name, duration_ms), reps, /*fast_path=*/false,
              capture_timeline);
   return run;
 }
@@ -251,10 +218,9 @@ ScenarioRun run_scenario(const std::string& name, double duration_ms,
 bool write_report(const std::string& path,
                   const std::vector<ScenarioRun>& runs, std::size_t reps,
                   double duration_ms, double fast_path_speedup,
-                  double batched_speedup, const ScenarioRun& trace_off,
-                  const ScenarioRun& trace_on) {
+                  const ScenarioRun& trace_off, const ScenarioRun& trace_on) {
   std::string os;
-  os += "{\"schema\":\"michican.throughput.v1\",\"reps\":";
+  os += "{\"schema\":\"michican.throughput.v2\",\"reps\":";
   os += std::to_string(reps);
   os += ",\"duration_ms\":" + fmt_double(duration_ms);
   os += ",\"scenarios\":[";
@@ -268,15 +234,9 @@ bool write_report(const std::string& path,
     os += ",\"events\":" + std::to_string(r.events);
     os += ",\"busy_fraction\":" + fmt_double(r.busy_fraction);
     os += ",\"bits_skipped\":" + std::to_string(r.bits_skipped);
-    os += ",\"bits_batched\":" + std::to_string(r.bits_batched);
-    os += ",\"quiescence_sim_ms\":" + fmt_double(r.quiescence_sim_ms);
-    os += ",\"quiescence_bits_per_second\":" +
-          fmt_double(r.quiescence_bits_per_second());
-    os += ",\"quiescence_speedup\":" + fmt_double(r.quiescence_speedup());
     os += ",\"naive_sim_ms\":" + fmt_double(r.naive_sim_ms);
     os += ",\"naive_bits_per_second\":" + fmt_double(r.naive_bits_per_second());
     os += ",\"min_sim_ms\":" + fmt_double(r.min_sim_ms);
-    os += ",\"min_quiescence_sim_ms\":" + fmt_double(r.min_quiescence_sim_ms);
     os += ",\"min_naive_sim_ms\":" + fmt_double(r.min_naive_sim_ms);
     os += ",\"speedup\":" + fmt_double(r.speedup()) + "}";
   }
@@ -290,7 +250,6 @@ bool write_report(const std::string& path,
                                        trace_off.total_ms
                                  : 0.0;
   os += "],\"fast_path_speedup\":" + fmt_double(fast_path_speedup);
-  os += ",\"batched_speedup\":" + fmt_double(batched_speedup);
   os += ",\"overhead\":{\"scenario\":\"" + obs::json_escape(trace_off.name);
   os += "\",\"trace_off_ms\":" + fmt_double(trace_off.total_ms);
   os += ",\"trace_on_ms\":" + fmt_double(trace_on.total_ms);
@@ -317,31 +276,24 @@ int main(int argc, char** argv) {
   }
 
   double fast_path_speedup = 0.0;
-  double batched_speedup = 0.0;
   analysis::AsciiTable t{{"Scenario", "Bits", "Mbit/s (sim)", "Skipped",
-                          "Batched", "Speedup", "Q-Speedup", "Busy"}};
+                          "Speedup", "Busy"}};
   for (const auto& r : runs) {
-    if (r.name == kIdleHeavy) fast_path_speedup = r.quiescence_speedup();
-    if (r.name == kBusyBus) batched_speedup = r.speedup();
+    if (r.name == kIdleHeavy) fast_path_speedup = r.speedup();
     t.add_row({r.name, std::to_string(r.bits),
                fmt(r.bits_per_second() / 1e6, 2),
-               std::to_string(r.bits_skipped),
-               std::to_string(r.bits_batched), fmt(r.speedup(), 2) + "x",
-               fmt(r.quiescence_speedup(), 2) + "x",
+               std::to_string(r.bits_skipped), fmt(r.speedup(), 2) + "x",
                analysis::fmt_pct(r.busy_fraction)});
   }
   t.print(std::cout, "Simulated-bit throughput (" + std::to_string(reps) +
                          " reps x " + fmt(duration_ms, 0) +
-                         " ms at 50 kbit/s, batched vs quiescence vs naive "
-                         "kernel):");
+                         " ms at 50 kbit/s, quiescence vs naive kernel):");
   std::cout << "fast-path speedup on " << kIdleHeavy << ": "
             << fmt(fast_path_speedup, 2) << "x\n";
-  std::cout << "batched speedup on " << kBusyBus << ": "
-            << fmt(batched_speedup, 2) << "x\n";
 
-  // Regression gate for the batch engine, pinned like a golden trace.
+  // Regression gate for the quiescence kernel, pinned like a golden trace.
   if (std::getenv("MICHICAN_UPDATE_FLOOR") != nullptr) {
-    const double floor = 0.8 * batched_speedup;
+    const double floor = 0.5 * fast_path_speedup;
     if (!write_pinned_floor(floor)) {
       std::cerr << "error: could not write " << floor_path() << "\n";
       return 1;
@@ -355,9 +307,9 @@ int main(int argc, char** argv) {
                 << " — regenerate with MICHICAN_UPDATE_FLOOR=1\n";
       return 1;
     }
-    if (batched_speedup < floor) {
-      std::cerr << "error: batched speedup " << fmt(batched_speedup, 2)
-                << "x on " << kBusyBus << " fell below the pinned floor "
+    if (fast_path_speedup < floor) {
+      std::cerr << "error: fast-path speedup " << fmt(fast_path_speedup, 2)
+                << "x on " << kIdleHeavy << " fell below the pinned floor "
                 << fmt(floor, 2)
                 << "x; if the regression is intentional, rerun with "
                    "MICHICAN_UPDATE_FLOOR=1 and review the diff\n";
@@ -394,8 +346,7 @@ int main(int argc, char** argv) {
 
   if (!opts.report_path.empty()) {
     if (write_report(opts.report_path, runs, reps, duration_ms,
-                     fast_path_speedup, batched_speedup, trace_off,
-                     trace_on)) {
+                     fast_path_speedup, trace_off, trace_on)) {
       std::cout << "JSON report: " << opts.report_path << "\n";
     } else {
       std::cerr << "error: could not write " << opts.report_path << "\n";

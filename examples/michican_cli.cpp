@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -65,24 +64,8 @@ const analysis::ScenarioRegistry& registry() {
   return analysis::ScenarioRegistry::built_in();
 }
 
-std::uint64_t parse_seed(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 10);
-}
-
-double parse_double_arg(const std::string& text, const char* what) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size()) {
-    throw std::invalid_argument(std::string{what} + ": malformed number '" +
-                                text + "'");
-  }
-  return v;
-}
+using runner::parse_double_arg;
+using runner::parse_u64_arg;
 
 /// `--replay` trace ingestion, shared by the experiment and campaign
 /// subcommands: a captured log (candump -L or toolkit CSV) drives either
@@ -162,12 +145,12 @@ int cmd_experiment(const runner::CliOptions& opts,
   }
   auto spec = registry().make(pos[0]);
   apply_replay(rf, spec);
-  spec.seed = pos.size() > 1 ? parse_seed(pos[1]) : 42ull;
-  const double duration_ms =
-      pos.size() > 2 ? std::atof(pos[2].c_str()) : spec.duration.value();
+  spec.seed = pos.size() > 1 ? parse_u64_arg(pos[1], "seed") : 42ull;
+  const double duration_ms = pos.size() > 2
+                                 ? parse_double_arg(pos[2], "duration_ms")
+                                 : spec.duration.value();
   spec.duration = sim::Millis{duration_ms};
   spec.fast_path = opts.fast_path;
-  spec.batching = opts.batching;
   const auto res = analysis::run_experiment(spec);
 
   analysis::AsciiTable t{{"Attacker", "Cycles", "mu (ms)", "sigma (ms)",
@@ -246,8 +229,7 @@ int cmd_campaign(const runner::CliOptions& opts,
     auto spec = registry().make(name);
     apply_replay(rf, spec);
     spec.fast_path = opts.fast_path;
-    spec.batching = opts.batching;
-    cfg.specs.push_back(std::move(spec));
+      cfg.specs.push_back(std::move(spec));
   }
   cfg.seeds = opts.seeds;
   cfg.jobs = opts.jobs;
@@ -288,26 +270,10 @@ int cmd_campaign(const runner::CliOptions& opts,
 std::vector<double> parse_ber_list(const std::string& text) {
   std::vector<double> bers;
   std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto comma = text.find(',', pos);
-    const auto item = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (item.empty()) {
-      throw std::invalid_argument("--bers: empty entry in '" + text + "'");
-    }
-    std::size_t used = 0;
-    double ber = 0.0;
-    try {
-      ber = std::stod(item, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != item.size()) {
-      throw std::invalid_argument("--bers: malformed rate '" + item + "'");
-    }
-    bers.push_back(ber);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (std::size_t comma = 0; comma != std::string::npos; pos = comma + 1) {
+    comma = text.find(',', pos);
+    bers.push_back(
+        parse_double_arg(text.substr(pos, comma - pos), "--bers rate"));
   }
   return bers;
 }
@@ -325,8 +291,7 @@ int cmd_fault_sweep(const runner::CliOptions& opts,
   for (const auto& s : scenarios) {
     auto spec = registry().make(s);
     spec.fast_path = opts.fast_path;
-    spec.batching = opts.batching;
-    cfg.base_specs.push_back(std::move(spec));
+      cfg.base_specs.push_back(std::move(spec));
   }
   if (!bers.empty()) cfg.bers = bers;
   cfg.seeds = opts.seeds;
@@ -416,15 +381,16 @@ int cmd_trace(const runner::CliOptions& opts,
         "trace: expected <scenario> [seed] [duration_ms]");
   }
   auto spec = registry().make(positional[0]);
-  spec.seed = positional.size() > 1 ? parse_seed(positional[1]) : 42ull;
+  spec.seed =
+      positional.size() > 1 ? parse_u64_arg(positional[1], "seed") : 42ull;
   // 120 ms covers several bus-off cycles at 50 kbit/s while keeping the
   // trace small enough for an instant Perfetto load.
   const double duration_ms =
-      positional.size() > 2 ? std::atof(positional[2].c_str()) : 120.0;
+      positional.size() > 2 ? parse_double_arg(positional[2], "duration_ms")
+                            : 120.0;
   spec.duration = sim::Millis{duration_ms};
   spec.capture_timeline = true;
   spec.fast_path = opts.fast_path;
-  spec.batching = opts.batching;
   const auto res = analysis::run_experiment(spec);
   std::cout << "scenario: " << spec.label << ", seed " << spec.seed << ", "
             << fmt(duration_ms, 0) << " ms, "
@@ -443,8 +409,7 @@ int cmd_sweep(const runner::CliOptions& opts,
     auto spec = analysis::multi_attacker_spec(a);
     spec.duration = sim::Millis{3000};
     spec.fast_path = opts.fast_path;
-    spec.batching = opts.batching;
-    const auto res = analysis::run_experiment(spec);
+      const auto res = analysis::run_experiment(spec);
     t.add_row({std::to_string(a), fmt(res.first_cycle_total_bits, 0),
                fmt(speed.bits_to_ms(res.first_cycle_total_bits), 1)});
   }
@@ -475,7 +440,8 @@ int cmd_rta(const runner::CliOptions&, const std::vector<std::string>& args) {
     throw std::invalid_argument("rta: expected <bus_index 0..7>");
   }
   const int bus_index = runner::parse_int_arg(args[0], 0, 7, "bus index");
-  const double attack_bits = args.size() > 1 ? std::atof(args[1].c_str()) : 0.0;
+  const double attack_bits =
+      args.size() > 1 ? parse_double_arg(args[1], "attack_blocking_bits") : 0.0;
   const auto matrices = restbus::all_vehicle_matrices();
   const auto& m = matrices[static_cast<std::size_t>(bus_index)];
   restbus::RtaConfig cfg;
@@ -816,7 +782,6 @@ int cmd_fleet(const runner::CliOptions& opts,
   runner::FleetConfig cfg;
   cfg.jobs = opts.jobs;
   cfg.fast_path = opts.fast_path;
-  cfg.batching = opts.batching;
   cfg.cache_dir = ".michican-fleet-cache";
   std::string fleet_stats_path;
   ArgTable table = fleet_shared_table(cfg);
@@ -870,7 +835,6 @@ int cmd_fleet_worker(const runner::CliOptions& opts,
   runner::FleetConfig cfg;
   cfg.jobs = opts.jobs;
   cfg.fast_path = opts.fast_path;
-  cfg.batching = opts.batching;
   std::uint64_t shard = 0;
   std::uint64_t shards = 1;
   std::string summary_path;

@@ -388,7 +388,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 
   // --- run the recording ----------------------------------------------------
   topo.set_fast_path(spec.fast_path);
-  topo.set_batching(spec.batching);
   const auto t_setup = ProfileClock::now();
   topo.run_for(spec.duration);
   const auto t_sim = ProfileClock::now();
@@ -397,7 +396,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   ExperimentResult res;
   res.spec = spec;
   res.bits_skipped = topo.bits_skipped();
-  res.bits_batched = topo.bits_batched();
 
   sim::BitTime first_attack_start = 0;
   sim::BitTime last_first_busoff = 0;

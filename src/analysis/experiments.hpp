@@ -97,10 +97,6 @@ struct ExperimentSpec {
   /// byte-identical either way; forcing it off (--no-fast-path) pins the
   /// naive per-bit kernel when bisecting.
   bool fast_path{true};
-  /// Word-level batched bit engine (transparent-horizon wired-AND, 64 bits
-  /// per round).  Byte-identical to per-bit stepping; forcing it off
-  /// (--no-batch) pins the per-bit kernel when bisecting.
-  bool batching{true};
   /// Multi-bus wiring; the default single-bus value changes nothing.
   TopologySpec topology;
   /// Captured-log replay onto the rest-bus segment; default off.
@@ -170,8 +166,8 @@ struct ExperimentResult {
   /// Runtime perf info (varies with spec.fast_path) — kept out of `metrics`
   /// so the deterministic sections stay identical with the fast path on/off.
   std::uint64_t bits_skipped{};
-  /// Bits the batched engine resolved in word-sized rounds (same caveat:
-  /// runtime perf info, varies with spec.batching, kept out of `metrics`).
+  /// Always 0 (no engine tier batches bits); kept because the perfbench
+  /// harness (perfbench/workloads.cpp) still reads it.
   std::uint64_t bits_batched{};
   /// Chrome trace-event JSON + JSONL dump when spec.capture_timeline.
   std::string timeline_json;

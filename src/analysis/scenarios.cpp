@@ -49,11 +49,11 @@ ExperimentSpec controllers_only_spec() {
 }
 
 ExperimentSpec busy_bus_spec() {
-  // The batched engine's home turf: a heavily loaded bus with no armed
-  // monitor (a defended node steps every in-frame bit) and no attackers —
-  // the wire is almost always mid-frame, so the word-level path carries
-  // the run.  The ~0.8 target load is the upper end of what a production
-  // 50 kbit/s bus sustains.
+  // The stepped kernel's worst case: a heavily loaded bus with no armed
+  // monitor and no attackers — the wire is almost always mid-frame, so the
+  // quiescence fast path finds little idle time to skip and nearly every
+  // bit is stepped.  The ~0.8 target load is the upper end of what a
+  // production 50 kbit/s bus sustains.
   ExperimentSpec spec;
   spec.label = "busy_bus";
   spec.defense_enabled = false;
@@ -328,8 +328,8 @@ ScenarioRegistry make_built_in() {
            restbus_idle_spec});
   reg.add({"busy-bus",
            {},
-           "bench workload: ~80% loaded rest-bus replay, defense off — the "
-           "batched word engine's home turf",
+           "bench workload: ~80% loaded rest-bus replay, defense off — "
+           "almost every bit is stepped",
            busy_bus_spec});
   reg.add({"spoof-ber1e-4",
            {},

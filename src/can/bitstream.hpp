@@ -62,24 +62,9 @@ class Destuffer {
   /// Number of consecutive equal levels ending at the last fed bit.
   [[nodiscard]] int run_length() const noexcept { return run_; }
 
-  /// True once at least one bit has been fed since the last reset().
-  [[nodiscard]] bool primed() const noexcept { return have_last_; }
-
-  /// Level of the last fed bit (meaningful only when primed()).  Lets the
-  /// batched kernel seed its stuff-run scan with the live run state.
-  [[nodiscard]] sim::BitLevel last() const noexcept { return last_; }
-
   void reset() noexcept {
     run_ = 0;
     have_last_ = false;
-  }
-
-  /// Restore the run state directly — the batched receive replay tracks
-  /// the run in registers and re-syncs the destuffer once per window.
-  void prime(sim::BitLevel last, int run) noexcept {
-    last_ = last;
-    run_ = run;
-    have_last_ = true;
   }
 
  private:

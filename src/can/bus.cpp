@@ -1,7 +1,6 @@
 #include "can/bus.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -19,14 +18,6 @@ constexpr sim::BitTime kMinIdleForSkip = 6;
 /// After a horizon probe fails (some node says kAlways), wait roughly one
 /// interframe-plus-SOF worth of bits before probing again.
 constexpr sim::BitTime kProbeBackoff = 11;
-
-/// Smallest window worth committing as a word: below this the probe
-/// overhead (three virtual calls per node) beats the per-bit savings.
-constexpr sim::BitTime kMinBatch = 8;
-
-/// After a failed batch probe (contested region: arbitration, error
-/// signalling, frame boundaries), wait this many bits before re-probing.
-constexpr sim::BitTime kBatchBackoff = 4;
 
 }  // namespace
 
@@ -109,71 +100,6 @@ void WiredAndBus::skip_to(sim::BitTime horizon) {
   now_ = horizon;
 }
 
-bool WiredAndBus::batch_step(sim::BitTime end) {
-  if (nodes_.empty()) return false;
-  sim::BitTime count = std::min<sim::BitTime>(64, end - now_);
-  if (injector_ != nullptr) {
-    count = std::min(count, injector_->batch_horizon(now_));
-  }
-  if (count < kMinBatch) return false;
-
-  // Phase 1: gather drive promises.  Any opt-out aborts the whole probe —
-  // the window is only sound when every node's contribution is known.
-  patterns_.clear();
-  for (auto* n : nodes_) {
-    const CanNode::DrivePattern p = n->drive_pattern(now_);
-    if (p.horizon == 0) return false;
-    count = std::min(count, p.horizon);
-    patterns_.push_back(p.bits);
-  }
-  if (count < kMinBatch) return false;
-
-  // Phase 2: resolve the wired-AND word.  Bits past the window are forced
-  // recessive so pattern garbage beyond a node's horizon cannot leak into
-  // another node's transparency scan.
-  std::uint64_t word = ~0ull;
-  for (const std::uint64_t p : patterns_) word &= p;
-  if (count < 64) word |= ~0ull << count;
-
-  // Phase 3: every node bounds the window to its own reaction-free prefix.
-  // A prefix of a transparent prefix stays transparent, so one min pass
-  // suffices even as `count` shrinks.
-  for (auto* n : nodes_) {
-    count = std::min(count, n->transparent_bits(now_, word, count));
-    if (count < kMinBatch) return false;
-  }
-
-  // Contract check (the batch analogue of skip_to's stale-promise check):
-  // the first pattern bit must match what the node would actually drive.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const auto promised = (patterns_[i] & 1u) != 0 ? sim::BitLevel::Recessive
-                                                   : sim::BitLevel::Dominant;
-    if (nodes_[i]->tx_level() != promised) {
-      throw std::logic_error{
-          "batch contract violation: node '" + std::string{nodes_[i]->name()} +
-          "' advertises a drive_pattern() contradicting its own tx_level()"};
-    }
-  }
-
-  // Commit: the window is reaction-free for every node and undisturbed by
-  // the injector, so no events fire inside it and bulk application is
-  // byte-identical to `count` per-bit rounds.
-  trace_.sample_word(word, count);
-  for (auto* n : nodes_) n->on_bus_word(now_, word, count);
-  if (injector_ != nullptr) injector_->on_batch(word, count);
-
-  last_ = ((word >> (count - 1)) & 1u) != 0 ? sim::BitLevel::Recessive
-                                            : sim::BitLevel::Dominant;
-  const auto trailing = std::min<sim::BitTime>(
-      static_cast<sim::BitTime>(std::countl_one(word << (64 - count))),
-      count);
-  idle_run_ = trailing == count ? idle_run_ + count : trailing;
-  bits_batched_ += count;
-  batch_windows_ += 1;
-  now_ += count;
-  return true;
-}
-
 void WiredAndBus::run(sim::Bits bits) {
   const sim::BitTime end = sim::sat_add(now_, bits.value());
   while (now_ < end) {
@@ -185,10 +111,6 @@ void WiredAndBus::run(sim::Bits bits) {
         continue;
       }
       skip_retry_at_ = now_ + kProbeBackoff;
-    }
-    if (batching_ && now_ >= batch_retry_at_) {
-      if (batch_step(end)) continue;
-      batch_retry_at_ = now_ + kBatchBackoff;
     }
     step();
   }

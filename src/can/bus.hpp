@@ -60,31 +60,11 @@ class WiredAndBus {
   void set_fast_path(bool enabled) noexcept { fast_path_ = enabled; }
   [[nodiscard]] bool fast_path() const noexcept { return fast_path_; }
 
-  /// Toggle the word-batched kernel (on by default).  With batching on the
-  /// run loop probes every node's drive_pattern()/transparent_bits() and
-  /// resolves wired-AND up to 64 bits at a time, falling back to per-bit
-  /// stepping inside contested regions.  Recording stays byte-identical.
-  void set_batching(bool enabled) noexcept { batching_ = enabled; }
-  [[nodiscard]] bool batching() const noexcept { return batching_; }
-
   /// Bits covered by quiescence skips instead of per-bit stepping.  Runtime
   /// perf information — deliberately kept out of export_metrics() so the
   /// deterministic metrics registry is identical with the fast path on/off.
   [[nodiscard]] std::uint64_t bits_skipped() const noexcept {
     return bits_skipped_;
-  }
-
-  /// Bits resolved by the word-batched kernel instead of per-bit stepping.
-  /// Runtime perf information, kept out of export_metrics() like
-  /// bits_skipped() so recordings are engine-independent.
-  [[nodiscard]] std::uint64_t bits_batched() const noexcept {
-    return bits_batched_;
-  }
-
-  /// Number of committed batch windows (bits_batched() / batch_windows()
-  /// is the mean window width — a batching-efficiency diagnostic).
-  [[nodiscard]] std::uint64_t batch_windows() const noexcept {
-    return batch_windows_;
   }
 
   [[nodiscard]] sim::BitTime now() const noexcept { return now_; }
@@ -115,31 +95,17 @@ class WiredAndBus {
   /// any node is currently driving dominant (stale next_activity contract).
   void skip_to(sim::BitTime horizon);
 
-  /// Try to resolve one batched window ending no later than `end`.  Returns
-  /// true when a window committed (now_ advanced), false when any node, the
-  /// injector or the minimum-window threshold forced per-bit fallback.
-  /// Throws std::logic_error when a node's advertised pattern contradicts
-  /// its own tx_level() (stale drive_pattern contract).
-  bool batch_step(sim::BitTime end);
-
   sim::BusSpeed speed_;
   std::vector<CanNode*> nodes_;
   FaultInjector* injector_{nullptr};
   sim::BitTime now_{0};
   sim::BitLevel last_{sim::BitLevel::Recessive};
   bool fast_path_{true};
-  bool batching_{true};
   std::uint64_t bits_skipped_{0};
-  std::uint64_t bits_batched_{0};
-  std::uint64_t batch_windows_{0};
   /// Consecutive recessive bits ending at now_ (tracks bus idle state).
   sim::BitTime idle_run_{0};
   /// Cheap backoff: after a failed horizon probe, don't re-probe until here.
   sim::BitTime skip_retry_at_{0};
-  /// Same backoff idea for failed batch probes (contested regions).
-  sim::BitTime batch_retry_at_{0};
-  /// Per-probe scratch for the nodes' drive patterns (reused allocation).
-  std::vector<std::uint64_t> patterns_;
   sim::LogicAnalyzer trace_;
   sim::EventLog log_;
 };

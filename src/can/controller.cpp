@@ -1,10 +1,7 @@
 #include "can/controller.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cassert>
-#include <cstring>
 
 #include "can/crc15.hpp"
 #include "obs/metrics.hpp"
@@ -70,11 +67,10 @@ void BitController::tick(BitTime now) {
   now_ = now;
   // Sticky hooks promised to be a no-op before their cached due bit, so the
   // std::function dispatch itself can be skipped.  The cache is only armed
-  // when the bus runs a contract-based engine: the naive per-bit tier stays
+  // when the bus runs the quiescence fast path: the naive per-bit tier stays
   // a contract-free oracle that dispatches every hook every bit, so the
   // differential harness would catch a hook whose promise lies.
-  const bool trust =
-      bus_ != nullptr && (bus_->fast_path() || bus_->batching());
+  const bool trust = bus_ != nullptr && bus_->fast_path();
   if (trust && now < apps_due_) return;
   BitTime min_due = kNever;
   for (auto& app : apps_) {
@@ -98,7 +94,7 @@ BitTime BitController::next_activity(BitTime now) const {
   // could enqueue at any bit, so it pins the controller to kAlways.
   BitTime app_next = kNever;
   if (apps_due_ > now) {
-    app_next = apps_due_;  // min cached due; see drive_pattern()
+    app_next = apps_due_;  // min cached due, maintained by tick()
   } else {
     for (const auto& app : apps_) {
       if (!app.next) return kAlways;
@@ -183,341 +179,6 @@ void BitController::on_idle_skip(BitTime count) {
       break;
   }
   now_ = orig_now + count;
-}
-
-// ---------------------------------------------------------------------------
-// Word-batched kernel contract
-//
-// The batchable phases are the long constant stretches of the protocol:
-//   Idle/Integrating  — driving recessive, reacting only to a SOF edge;
-//   BusOff            — driving recessive, counting recovery sequences;
-//   Transmit          — shifting out precomputed wire bits (stuff bits
-//                       included) up to the ACK slot;
-//   Receive           — driving recessive through the stuffed region, with
-//                       the only possible reaction being a stuff error.
-// Everything else (error/overload flags, delimiters, intermission, suspend)
-// is a handful of bits with per-bit decisions — those opt out and stay on
-// the stepped path, exactly the "contested regions" fallback of the design.
-
-BitController::DrivePattern BitController::drive_pattern(BitTime now) {
-  // Application hooks cap every promise exactly like next_activity() does:
-  // a hook without a scheduling companion, or one due now, opts out — the
-  // stepped path runs it inside tick().
-  BitTime app_cap = 64;
-  if (apps_due_ > now) {
-    // tick() maintains apps_due_ = min cached due; a future value proves
-    // every hook is sticky and quiet, so one compare replaces the scan.
-    app_cap = std::min<BitTime>(app_cap, apps_due_ - now);
-  } else {
-    for (const auto& app : apps_) {
-      if (!app.next) return {};
-      const BitTime t = app.sticky ? app.cached_due : app.next(now);
-      if (t <= now) return {};
-      app_cap = std::min(app_cap, t - now);
-    }
-  }
-  constexpr std::uint64_t kAllRecessive = ~0ull;
-
-  switch (phase_) {
-    case Phase::Idle:
-    case Phase::Integrating:
-      // A queued frame starts transmitting the moment the phase allows —
-      // same opt-out as next_activity().
-      if (!txq_.empty()) return {};
-      return {app_cap, kAllRecessive};
-
-    case Phase::BusOff: {
-      if (!cfg_.auto_recover) return {app_cap, kAllRecessive};
-      // Keep the recovery-completing bit on the stepped path so its events
-      // carry exact timestamps (mirrors next_activity()).  Dominant bus bits
-      // only delay recovery, so the cap is conservative either way.
-      const BitTime remaining =
-          static_cast<BitTime>(128 - busoff_idle_seqs_) * 11 -
-          static_cast<BitTime>(busoff_recessive_run_);
-      if (remaining <= 1) return {};
-      return {std::min(app_cap, remaining - 1), kAllRecessive};
-    }
-
-    case Phase::Transmit: {
-      // Promise the precomputed wire bits (stuff bits included) up to, but
-      // not including, the ACK slot — the one mid-frame bit where the
-      // transmitter *expects* the bus to differ from its own drive.  The
-      // image's levels are packed in txlevels_, so the promise is two
-      // shifts instead of a per-bit walk.
-      const std::size_t limit =
-          txpos_ <= tx_ack_pos_ ? tx_ack_pos_ : txbits_.size();
-      const BitTime n = std::min(
-          app_cap, static_cast<BitTime>(limit - txpos_));
-      if (n == 0) return {};
-      const std::size_t w = txpos_ / 64;
-      const unsigned off = static_cast<unsigned>(txpos_ % 64);
-      std::uint64_t bits = txlevels_[w] >> off;
-      if (off != 0 && w + 1 < txlevels_.size()) {
-        bits |= txlevels_[w + 1] << (64 - off);
-      }
-      if (n < 64) bits |= ~0ull << n;  // pad: unknown tail stays recessive
-      batch_pattern_ = bits;
-      batch_pattern_at_ = now;
-      batch_pattern_len_ = n;
-      return {n, bits};
-    }
-
-    case Phase::Receive: {
-      // Stay strictly inside the stuffed region: the trailer (CRC delimiter,
-      // ACK, EOF) makes per-bit decisions.  The horizon is counted in
-      // *unstuffed* remaining bits, a lower bound on the wire bits left —
-      // stuff bits only stretch the region, never shrink it.  Until the DLC
-      // is parsed the shortest possible region bounds the promise.
-      const int region = rx_.dlc >= 0
-                             ? rx_.stuffed_len()
-                             : stuffed_region_length(0, /*rtr=*/true, rx_.ext);
-      const int remaining = region - static_cast<int>(rx_.bits.size());
-      if (remaining <= 0) return {};
-      return {std::min(app_cap, static_cast<BitTime>(remaining)),
-              kAllRecessive};
-    }
-
-    case Phase::ActiveFlag:
-    case Phase::PassiveFlag:
-    case Phase::OverloadFlag:
-    case Phase::ErrorDelim:
-    case Phase::Intermission:
-    case Phase::Suspend:
-      return {};
-  }
-  return {};
-}
-
-BitTime BitController::transparent_bits(BitTime now, std::uint64_t word,
-                                        BitTime count) {
-  switch (phase_) {
-    case Phase::Idle:
-    case Phase::Integrating:
-      // The first dominant bit is (or may become, via Integrating -> Idle)
-      // a SOF reaction; everything before it is pure recessive bookkeeping.
-      return std::min(static_cast<BitTime>(std::countr_one(word)), count);
-
-    case Phase::BusOff:
-      // Recovery counting is state-only: no drive change, no events, and
-      // on_bus_word() replays it exactly — the whole window is transparent.
-      return count;
-
-    case Phase::Transmit: {
-      // A bus level differing from the driven one is an arbitration loss,
-      // bit error or stuff error — all reactions at that very bit.  The
-      // drive_pattern() call that opened this probe cached the promised
-      // word, so the scan is one XOR; the walk remains as a fallback for
-      // direct callers that skipped the pattern exchange.
-      if (now == batch_pattern_at_ && count <= batch_pattern_len_) {
-        const std::uint64_t mask =
-            count < 64 ? (std::uint64_t{1} << count) - 1 : ~0ull;
-        const std::uint64_t diff = (word ^ batch_pattern_) & mask;
-        return diff == 0 ? count
-                         : static_cast<BitTime>(std::countr_zero(diff));
-      }
-      for (BitTime i = 0; i < count; ++i) {
-        const TxBit& b = txbits_[static_cast<std::size_t>(txpos_ + i)];
-        if (static_cast<int>((word >> i) & 1u) != sim::to_bit(b.level)) {
-          return i;
-        }
-      }
-      return count;
-    }
-
-    case Phase::Receive: {
-      // The only in-region reaction is a stuff error: six consecutive
-      // equal wire levels.  A six-run fully inside the word is found in
-      // O(1) by ANDing five shifted copies (bit j set <=> bits j..j+5 all
-      // equal, completing at j+5); a run straddling the window boundary is
-      // caught by matching the word's leading bits against the live
-      // destuffer run.  Bits past `count` are recessive padding, so a
-      // false ones-run can only complete at or past `count`, where the
-      // clamp discards it; zero-runs cannot cross the padding at all.
-      const auto six = [](std::uint64_t v) {
-        return v & (v >> 1) & (v >> 2) & (v >> 3) & (v >> 4) & (v >> 5);
-      };
-      BitTime stop = count;
-      if (const std::uint64_t ones = six(word); ones != 0) {
-        stop = std::min(stop,
-                        static_cast<BitTime>(std::countr_zero(ones)) + 5);
-      }
-      if (const std::uint64_t zeros = six(~word); zeros != 0) {
-        stop = std::min(stop,
-                        static_cast<BitTime>(std::countr_zero(zeros)) + 5);
-      }
-      if (rx_.destuff.primed()) {
-        const int run = rx_.destuff.run_length();
-        const int lead = sim::is_recessive(rx_.destuff.last())
-                             ? std::countr_one(word)
-                             : std::countr_zero(word);
-        if (lead >= 6 - run) {
-          stop = std::min(stop, static_cast<BitTime>(5 - run));
-        }
-      }
-      return std::min(stop, count);
-    }
-
-    case Phase::ActiveFlag:
-    case Phase::PassiveFlag:
-    case Phase::OverloadFlag:
-    case Phase::ErrorDelim:
-    case Phase::Intermission:
-    case Phase::Suspend:
-      return 0;
-  }
-  return 0;
-}
-
-void BitController::on_bus_word(BitTime now, std::uint64_t word,
-                                BitTime count) {
-  switch (phase_) {
-    case Phase::Idle:
-      break;  // an all-recessive window on an idle bus changes nothing
-
-    case Phase::Integrating: {
-      // Transparency stopped the window before any dominant bit, so this is
-      // exactly on_idle_skip()'s Integrating bookkeeping.
-      const BitTime need = static_cast<BitTime>(11 - integrate_count_);
-      if (count >= need) {
-        integrate_count_ = 0;
-        phase_ = Phase::Idle;
-      } else {
-        integrate_count_ += static_cast<int>(count);
-      }
-      break;
-    }
-
-    case Phase::BusOff:
-      if (cfg_.auto_recover) {
-        for (BitTime i = 0; i < count; ++i) {
-          if (((word >> i) & 1u) != 0) {
-            if (++busoff_recessive_run_ == 11) {
-              busoff_recessive_run_ = 0;
-              ++busoff_idle_seqs_;
-            }
-          } else {
-            busoff_recessive_run_ = 0;
-          }
-        }
-        // drive_pattern() capped the window below the recovery bit.
-        assert(busoff_idle_seqs_ < 128);
-      }
-      break;
-
-    case Phase::Transmit:
-      // Every bit matched what we drove (transparency), so `count` rounds of
-      // handle_transmit_bit() reduce to advancing the shift register.  The
-      // window stops before the ACK slot, so the frame cannot complete here.
-      txpos_ += static_cast<std::size_t>(count);
-      assert(txpos_ < txbits_.size());
-      drive_ = txbits_[txpos_].level;
-      break;
-
-    case Phase::Receive: {
-      // Replay the receive engine over the exact levels.  No reaction can
-      // fire: the window is inside the stuffed region (no trailer logic) and
-      // transparency excluded any six-bit run (no stuff error).  Past the
-      // DLC there are no field boundaries left to parse either, so the
-      // replay collapses to word-level destuffing: a wire bit is a stuff
-      // bit exactly when it starts a new run and the five preceding wire
-      // bits were equal (transparency caps every run at five, so "at least
-      // five" is "exactly five").  The run-start mask finds all of them at
-      // once, a squeeze pass drops them, and the survivors bulk-expand into
-      // the unstuffed-bit vector — no per-bit loop, one destuffer re-sync
-      // per window.  Header windows (DLC not yet parsed) stay on feed_rx().
-      const int pos0 = static_cast<int>(rx_.bits.size());
-      if (rx_.dlc >= 0 && pos0 > (rx_.ext ? kPosDlcLastExt : kPosDlcLast)) {
-        const int run = rx_.destuff.run_length();
-        const int lastb = sim::to_bit(rx_.destuff.last());
-        const std::uint64_t live =
-            count < 64 ? (std::uint64_t{1} << count) - 1 : ~0ull;
-
-        // d[j] = 1 iff wire bit j starts a new run (differs from bit j-1,
-        // the carried level standing in at j = 0).
-        const std::uint64_t d =
-            word ^ ((word << 1) | static_cast<std::uint64_t>(lastb));
-        const std::uint64_t nd = ~d;
-        // (c4 << 4)[j] = 1 iff no run starts at j-4..j-1, i.e. wire bits
-        // j-5..j-1 are equal; for j = 4 the nd[0] term additionally anchors
-        // the window to the carried run.  Positions 0..3 can only be stuff
-        // bits through the carried run length, handled separately below.
-        const std::uint64_t c4 = nd & (nd >> 1) & (nd >> 2) & (nd >> 3);
-        std::uint64_t stuff = d & (c4 << 4) & ~std::uint64_t{0xF} & live;
-        const BitTime lead = std::min<BitTime>(
-            static_cast<BitTime>(lastb != 0 ? std::countr_one(word)
-                                            : std::countr_zero(word)),
-            count);
-        if (lead < 4 && lead < count && run + static_cast<int>(lead) == 5) {
-          stuff |= std::uint64_t{1} << static_cast<unsigned>(lead);
-        }
-
-        // Squeeze the stuff bits out, lowest first; the mask shifts down
-        // with the data so later positions stay aligned.
-        const int ndata = static_cast<int>(count) - std::popcount(stuff);
-        std::uint64_t data = word;
-        while (stuff != 0) {
-          const int j = std::countr_zero(stuff);
-          const std::uint64_t low = (std::uint64_t{1} << j) - 1;
-          data = (data & low) | ((data >> 1) & ~low);
-          stuff = (stuff >> 1) & ~low;
-        }
-
-        // Expand eight data bits per table row into 0/1 bytes.  Each
-        // memcpy writes a full row; the transient over-resize absorbs the
-        // tail bytes, then the final resize truncates to the real length.
-        static constexpr auto kExpand = [] {
-          std::array<std::array<std::uint8_t, 8>, 256> t{};
-          for (std::size_t x = 0; x < 256; ++x) {
-            for (std::size_t j = 0; j < 8; ++j) {
-              t[x][j] = static_cast<std::uint8_t>((x >> j) & 1);
-            }
-          }
-          return t;
-        }();
-        auto& v = rx_.bits;
-        v.resize(static_cast<std::size_t>(pos0 + ndata) + 8);
-        std::uint8_t* out = v.data() + pos0;
-        for (int i = 0; i < ndata; i += 8) {
-          std::memcpy(out + i, kExpand[(data >> i) & 0xFF].data(), 8);
-        }
-        v.resize(static_cast<std::size_t>(pos0 + ndata));
-
-        // Re-sync the destuffer with the window's trailing wire run
-        // (extended by the carried run when the whole window is one run).
-        const int lastlevel = static_cast<int>((word >> (count - 1)) & 1u);
-        const std::uint64_t tv = lastlevel != 0 ? word : ~word;
-        int trail = std::countl_one(tv << (64 - count));
-        if (trail == static_cast<int>(count) && lastlevel == lastb) {
-          trail += run;
-        }
-        rx_.destuff.prime(
-            lastlevel != 0 ? BitLevel::Recessive : BitLevel::Dominant, trail);
-        assert(static_cast<int>(v.size()) <= rx_.stuffed_len());
-        if (static_cast<int>(v.size()) == rx_.stuffed_len()) {
-          rx_.check_crc();
-        }
-      } else {
-        for (BitTime i = 0; i < count; ++i) {
-          feed_rx(((word >> i) & 1u) != 0 ? BitLevel::Recessive
-                                          : BitLevel::Dominant);
-        }
-      }
-      assert(phase_ == Phase::Receive);
-      break;
-    }
-
-    case Phase::ActiveFlag:
-    case Phase::PassiveFlag:
-    case Phase::OverloadFlag:
-    case Phase::ErrorDelim:
-    case Phase::Intermission:
-    case Phase::Suspend:
-      assert(false && "on_bus_word in a non-batchable phase");
-      break;
-  }
-  // Same clock convention as per-bit stepping: the last tick() of the
-  // window would have been at its final bit.
-  now_ = now + count - 1;
 }
 
 void BitController::log_event(EventKind kind, std::uint32_t id, std::int64_t a,
@@ -787,16 +448,8 @@ void BitController::start_transmit_next_bit() {
     txbits_ = wire_bits(txq_.front());
     txbits_ready_ = true;
     txbits_stuff_ = 0;
-    txlevels_.assign((txbits_.size() + 63) / 64, 0);
-    tx_ack_pos_ = txbits_.size();
-    for (std::size_t i = 0; i < txbits_.size(); ++i) {
-      const TxBit& b = txbits_[i];
+    for (const TxBit& b : txbits_) {
       if (b.is_stuff) ++txbits_stuff_;
-      if (b.field == Field::AckSlot && tx_ack_pos_ == txbits_.size()) {
-        tx_ack_pos_ = i;
-      }
-      txlevels_[i / 64] |=
-          static_cast<std::uint64_t>(sim::to_bit(b.level)) << (i % 64);
     }
   }
   stats_.stuff_bits_tx += txbits_stuff_;

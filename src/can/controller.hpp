@@ -76,8 +76,8 @@ class BitController : public CanNode {
   /// Tell the controller which bus it rides on without registering it as a
   /// node — the composite-node analogue of attach_to()'s back-pointer.  The
   /// pointer gates the sticky-hook cache: promises are only trusted when
-  /// the bus runs a contract-based engine (fast path or batching), so the
-  /// naive tier stays a contract-free oracle.
+  /// the bus runs the quiescence fast path, so the naive tier stays a
+  /// contract-free oracle.
   void set_bus(const WiredAndBus* bus) noexcept { bus_ = bus; }
 
   /// Queue a frame for transmission.  Returns false (and counts a drop)
@@ -142,12 +142,6 @@ class BitController : public CanNode {
   void on_bus_bit(sim::BitLevel bus) override;
   [[nodiscard]] sim::BitTime next_activity(sim::BitTime now) const override;
   void on_idle_skip(sim::BitTime count) override;
-  [[nodiscard]] DrivePattern drive_pattern(sim::BitTime now) override;
-  [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime now,
-                                              std::uint64_t word,
-                                              sim::BitTime count) override;
-  void on_bus_word(sim::BitTime now, std::uint64_t word,
-                   sim::BitTime count) override;
   [[nodiscard]] std::string_view name() const override { return name_; }
 
  private:
@@ -225,20 +219,8 @@ class BitController : public CanNode {
   // per-attempt stats contribution) so retries skip the recount walk.
   bool txbits_ready_{false};
   std::uint64_t txbits_stuff_{0};
-  // Wire-image levels packed 64 per word (bit i = recessive flag of
-  // txbits_[i]) plus the ACK-slot index: drive_pattern() extracts its
-  // 64-bit promise with two shifts instead of a per-bit walk.
-  std::vector<std::uint64_t> txlevels_;
-  std::size_t tx_ack_pos_{0};
   std::size_t txpos_{0};
   sim::BitTime tx_start_{0};
-  // Cache of the last Transmit-phase drive_pattern() promise: the bus
-  // calls transparent_bits() with the same clock immediately after, so the
-  // scan reduces to one XOR instead of a per-bit walk of txbits_.
-  std::uint64_t batch_pattern_{0};
-  sim::BitTime batch_pattern_at_{0};
-  sim::BitTime batch_pattern_len_{0};
-
   RxEngine rx_;
 
   int integrate_count_{0};
@@ -278,7 +260,7 @@ class BitController : public CanNode {
   std::vector<App> apps_;
   // min over apps_ of cached_due as of the last tick (0 whenever any hook
   // ran or is untracked): while now < apps_due_ every hook is provably
-  // quiet, so tick() and the batch-probe app scans reduce to one compare.
+  // quiet, so tick() and next_activity() reduce to one compare.
   sim::BitTime apps_due_{0};
   std::function<void(const CanFrame&, sim::BitTime)> rx_cb_;
   std::function<void(const CanFrame&, sim::BitTime)> tx_cb_;

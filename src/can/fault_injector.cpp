@@ -201,33 +201,6 @@ void FaultInjector::on_idle_skip(sim::BitTime count) {
   }
 }
 
-sim::BitTime FaultInjector::batch_horizon(sim::BitTime now) const {
-  // Scheduled flips fire at exact wire positions and skew drifts per bit:
-  // both need every transform()/deliver() call, so they veto batching for
-  // the whole run (the bus then steps bit by bit whenever a frame is live,
-  // which is the only time either can fire).
-  if (!spec_.flips.empty() || has_skew()) return 0;
-  sim::BitTime horizon = std::numeric_limits<sim::BitTime>::max();
-  // The pending geometric gap counts undisturbed transform() calls: batching
-  // exactly `next_flip_gap_` bits leaves the flip on the next stepped bit.
-  if (spec_.bit_error_rate > 0.0) horizon = next_flip_gap_;
-  for (const auto& w : spec_.stuck) {
-    if (w.len == 0 || now >= w.start + w.len) continue;
-    if (now >= w.start) return 0;  // inside: stuck_bits counts per bit
-    horizon = std::min(horizon, w.start - now);
-  }
-  return horizon;
-}
-
-void FaultInjector::on_batch(std::uint64_t word, sim::BitTime count) {
-  for (sim::BitTime i = 0; i < count; ++i) {
-    track(((word >> i) & 1u) != 0 ? sim::BitLevel::Recessive
-                                  : sim::BitLevel::Dominant);
-  }
-  // batch_horizon() capped the window at the gap, so this cannot underflow.
-  if (spec_.bit_error_rate > 0.0) next_flip_gap_ -= count;
-}
-
 sim::BitLevel FaultInjector::deliver(std::size_t index, std::string_view name,
                                      sim::BitLevel current,
                                      sim::BitLevel previous, sim::BitTime now,

@@ -163,20 +163,6 @@ class FaultInjector {
   /// on a recessive bus would.
   void on_idle_skip(sim::BitTime count);
 
-  /// Word-batched kernel contract: the number of bits from `now` the
-  /// injector guarantees to leave undisturbed (so the bus may resolve them
-  /// as one word).  0 = cannot batch here.  Scheduled flips and sample-point
-  /// skew disable batching outright (both key off per-bit wire positions);
-  /// a pending BER flip and upcoming stuck windows merely cap the window.
-  [[nodiscard]] sim::BitTime batch_horizon(sim::BitTime now) const;
-
-  /// Bulk-apply `count` resolved bus bits (LSB-first in `word`, 1 =
-  /// recessive; mirrors CanNode::on_bus_word): replays the frame tracker
-  /// over the exact levels and advances the geometric flip gap as `count`
-  /// undisturbed transform() calls would.  Only valid within a window
-  /// batch_horizon() allowed.
-  void on_batch(std::uint64_t word, sim::BitTime count);
-
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const FaultSpec& spec() const noexcept { return spec_; }
 

@@ -1,7 +1,6 @@
 // Interface between the wired-AND bus and anything attached to it.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -59,61 +58,6 @@ class CanNode {
   /// Recessive) rounds would have — including every metrics-visible counter.
   /// Only called when next_activity() promised quiescence over the window.
   virtual void on_idle_skip(sim::BitTime /*count*/) {}
-
-  // -- Word-batched kernel contract (the third engine tier) ----------------
-  //
-  // The batched kernel asks every node three questions per window:
-  //   1. drive_pattern(now): which levels will you drive for the next up-to-
-  //      64 bits, assuming you react to nothing in that window?
-  //   2. transparent_bits(now, word, count): given the resolved bus word,
-  //      how many leading bits pass without provoking ANY reaction from you
-  //      (no drive change, no event, no error, no state fork)?
-  //   3. on_bus_word(now, word, count): bulk-apply the agreed prefix.
-  // The window commits only up to the minimum transparent prefix across all
-  // nodes; everything after that boundary is stepped bit by bit.  A node
-  // that cannot answer cheaply opts out by returning horizon 0, which makes
-  // the bus fall back to per-bit stepping for this window.
-
-  /// Up-to-64-bit drive promise for the batched kernel.
-  struct DrivePattern {
-    /// Number of bits promised (0 = opt out of batching at `now`).  The bus
-    /// clamps the window to the smallest horizon across nodes, never > 64.
-    sim::BitTime horizon{0};
-    /// Levels driven for bits [now, now + horizon), LSB-first: bit i of
-    /// `bits` is to_bit() of the level driven at now + i (1 = recessive).
-    std::uint64_t bits{~0ull};
-  };
-
-  /// Levels this node will drive for the next `horizon` bits starting at
-  /// `now` (the bit tx_level() is about to be called for), PROVIDED nothing
-  /// on the bus makes it react earlier — transparent_bits() is what bounds
-  /// the window to the reaction-free prefix afterwards.  Bit 0 of the
-  /// pattern MUST equal the level tx_level() would return now (the bus
-  /// enforces this and throws on a mismatch).  Default: opt out.
-  [[nodiscard]] virtual DrivePattern drive_pattern(sim::BitTime /*now*/) {
-    return {};
-  }
-
-  /// Given the resolved bus word for [now, now + count) (LSB-first, same
-  /// encoding as DrivePattern::bits), return the length of the longest
-  /// prefix this node can absorb without ANY reaction: no change to the
-  /// level it drives beyond its advertised pattern, no event-log or error
-  /// activity, no decision that would alter a later bit.  The returned
-  /// value may be 0 (react immediately -> per-bit fallback) and must be
-  /// <= count.  Only called after drive_pattern() returned a non-zero
-  /// horizon >= count.
-  [[nodiscard]] virtual sim::BitTime transparent_bits(
-      sim::BitTime /*now*/, std::uint64_t /*word*/, sim::BitTime /*count*/) {
-    return 0;
-  }
-
-  /// Bulk-apply `count` resolved bus bits (LSB-first in `word`).  Must leave
-  /// the node in exactly the state that `count` consecutive tick()/
-  /// tx_level()/on_bus_bit() rounds over these levels would have — including
-  /// every metrics-visible counter.  Only called for a window every node
-  /// declared transparent, so no reaction may fire inside it.
-  virtual void on_bus_word(sim::BitTime /*now*/, std::uint64_t /*word*/,
-                           sim::BitTime /*count*/) {}
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 };

@@ -31,10 +31,9 @@ struct SimRun {
   sim::BitTime end{};
 };
 
-SimRun execute(const FuzzCase& c, bool fast_path, bool batching) {
+SimRun execute(const FuzzCase& c, bool fast_path) {
   can::WiredAndBus bus;
   bus.set_fast_path(fast_path);
-  bus.set_batching(batching);
 
   std::vector<std::unique_ptr<can::BitController>> senders;
   senders.reserve(c.nodes.size());
@@ -367,18 +366,11 @@ std::optional<std::string> check_noisy(const FuzzCase& c, const SimRun& run) {
 
 CaseOutcome run_case(const FuzzCase& c) {
   CaseOutcome out;
-  // Three engine tiers, compared pairwise against the naive reference: the
-  // batched word engine, the quiescence fast path alone, and per-bit
-  // stepping.  Any pair differing is a divergence in its own right.
-  const auto batched = execute(c, /*fast_path=*/true, /*batching=*/true);
-  const auto fast = execute(c, /*fast_path=*/true, /*batching=*/false);
-  const auto naive = execute(c, /*fast_path=*/false, /*batching=*/false);
+  // Both engine tiers: the quiescence fast path against the naive per-bit
+  // reference.  Any difference is a divergence in its own right.
+  const auto fast = execute(c, /*fast_path=*/true);
+  const auto naive = execute(c, /*fast_path=*/false);
 
-  if (auto d = compare_kernels(batched, naive, "batched")) {
-    out.diverged = true;
-    out.divergence = std::move(*d);
-    return out;
-  }
   if (auto d = compare_kernels(fast, naive, "fast-path")) {
     out.diverged = true;
     out.divergence = std::move(*d);
@@ -387,12 +379,9 @@ CaseOutcome run_case(const FuzzCase& c) {
 
   std::optional<std::string> d;
   switch (c.kind) {
-    case CaseKind::Clean:
-    case CaseKind::Batched:
-      d = check_clean(c, batched, out.stats);
-      break;
-    case CaseKind::ScheduledFlip: d = check_flip(c, batched, out.stats); break;
-    case CaseKind::Noisy: d = check_noisy(c, batched); break;
+    case CaseKind::Clean: d = check_clean(c, fast, out.stats); break;
+    case CaseKind::ScheduledFlip: d = check_flip(c, fast, out.stats); break;
+    case CaseKind::Noisy: d = check_noisy(c, fast); break;
   }
   if (d) {
     out.diverged = true;

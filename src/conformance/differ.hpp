@@ -1,8 +1,8 @@
 // The differential harness: run a FuzzCase through the real simulator under
-// all three engine tiers — batched (word engine + fast path), quiescence
-// (fast path alone) and naive per-bit — require the recordings to be
-// byte-identical pairwise, then cross-check the run against the independent
-// oracle (conformance/oracle.hpp) at whatever depth the case kind allows:
+// both engine tiers — quiescence (fast path) and naive per-bit — require the
+// recordings to be byte-identical, then cross-check the run against the
+// independent oracle (conformance/oracle.hpp) at whatever depth the case
+// kind allows:
 //
 //   Clean          — full bit-for-bit wire check: every SOF window must
 //                    decode to the predicted frame with the predicted stuff
@@ -15,9 +15,6 @@
 //   Noisy          — BER / stuck-at disturbances: protocol invariants only
 //                    (counter bounds, no fabricated frames) — the
 //                    frame-level oracle cannot time sub-frame noise.
-//   Batched        — clean bus with fuller queues and large DLCs (long
-//                    transparent horizons): the full Clean-tier oracle
-//                    check, aimed squarely at the word-level engine.
 //
 // Any failed check is a divergence; the shrinker minimizes the case and the
 // repro lands in tests/repros/.

@@ -57,7 +57,6 @@ std::string_view to_string(CaseKind k) noexcept {
     case CaseKind::Clean: return "clean";
     case CaseKind::ScheduledFlip: return "scheduled_flip";
     case CaseKind::Noisy: return "noisy";
-    case CaseKind::Batched: return "batched";
   }
   return "unknown";
 }
@@ -148,7 +147,6 @@ std::string to_cpp_test(const FuzzCase& c, std::string_view test_name,
     case CaseKind::Clean: out += "Clean"; break;
     case CaseKind::ScheduledFlip: out += "ScheduledFlip"; break;
     case CaseKind::Noisy: out += "Noisy"; break;
-    case CaseKind::Batched: out += "Batched"; break;
   }
   out += ";\n";
   out += "  c.run_bits = " + std::to_string(c.run_bits) + ";\n";

@@ -27,11 +27,6 @@ enum class CaseKind : std::uint8_t {
   /// protocol invariants (no oracle bit-for-bit check — the disturbance
   /// timing is below the frame-level model's resolution).
   Noisy = 2,
-  /// Clean bus shaped for the word-level batch engine: more nodes, fuller
-  /// queues, large DLCs — long mid-frame transparent horizons.  Checked at
-  /// the full Clean oracle tier, with the batched engine explicitly in the
-  /// three-way (batched / quiescence / naive) identity comparison.
-  Batched = 3,
 };
 
 [[nodiscard]] std::string_view to_string(CaseKind k) noexcept;

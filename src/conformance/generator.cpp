@@ -68,7 +68,7 @@ std::string key_of(const can::CanFrame& f) {
   return std::string{key.begin(), key.end()};
 }
 
-/// Clean-bus queue population shared by the Clean and Batched tiers: every
+/// Clean-bus queue population shared by the plain and dense Clean cases: every
 /// arbitration key unique so the frame-level oracle can order the wire.
 void gen_clean_queues(sim::Rng& rng, FuzzCase& c, std::uint64_t max_nodes,
                       std::uint64_t max_frames, std::uint8_t min_dlc) {
@@ -114,11 +114,10 @@ void gen_clean(sim::Rng& rng, FuzzCase& c) {
   gen_clean_queues(rng, c, /*max_nodes=*/3, /*max_frames=*/3, /*min_dlc=*/0);
 }
 
-void gen_batched(sim::Rng& rng, FuzzCase& c) {
+void gen_dense(sim::Rng& rng, FuzzCase& c) {
   // Fuller queues and large payloads keep the bus mid-frame nearly the whole
-  // recording — long transparent horizons for the word engine, with frame
-  // boundaries, stuff runs and arbitration sprinkled through every window
-  // alignment.
+  // recording, with frame boundaries, stuff runs and arbitration packed
+  // tightly; checked at the same Clean oracle tier.
   gen_clean_queues(rng, c, /*max_nodes=*/4, /*max_frames=*/4, /*min_dlc=*/6);
 }
 
@@ -208,8 +207,8 @@ FuzzCase generate_case(std::uint64_t seed) {
     c.kind = CaseKind::Noisy;
     gen_noisy(rng, c);
   } else {
-    c.kind = CaseKind::Batched;
-    gen_batched(rng, c);
+    c.kind = CaseKind::Clean;
+    gen_dense(rng, c);
   }
   // Pin the fault-schedule seed so replays never depend on context.
   c.fault.seed = sim::derive_seed(seed, 0xFA17) | 1;

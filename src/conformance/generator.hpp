@@ -15,8 +15,8 @@ namespace mcan::conformance {
 /// Deterministically generate one case from a derived seed.
 /// Mix: ~50% Clean (1-3 nodes, unique arbitration keys), ~20% ScheduledFlip
 /// (lone standard frame, one body flip), ~15% Noisy (BER / stuck windows /
-/// arbitrary scheduled flips), ~15% Batched (clean bus with fuller queues
-/// and large DLCs — long transparent horizons for the word-level engine).
+/// arbitrary scheduled flips), ~15% dense Clean (up to 4 nodes with fuller
+/// queues and large DLCs, so the bus stays mid-frame nearly throughout).
 [[nodiscard]] FuzzCase generate_case(std::uint64_t seed);
 
 }  // namespace mcan::conformance

@@ -62,30 +62,4 @@ void MichiCanNode::on_idle_skip(sim::BitTime count) {
   now_ += count;
 }
 
-can::CanNode::DrivePattern MichiCanNode::drive_pattern(sim::BitTime now) {
-  // The armed monitor runs its per-bit handler during every frame (and its
-  // counterattack window must land on exact bits), so a defended node keeps
-  // the stepped path whenever a frame could be in flight.  With the defense
-  // off this node is just its controller plus an idle PIO tap.
-  if (cfg_.defense_enabled) return {};
-  return ctrl_.drive_pattern(now);
-}
-
-sim::BitTime MichiCanNode::transparent_bits(sim::BitTime now,
-                                            std::uint64_t word,
-                                            sim::BitTime count) {
-  if (cfg_.defense_enabled) return 0;
-  return ctrl_.transparent_bits(now, word, count);
-}
-
-void MichiCanNode::on_bus_word(sim::BitTime now, std::uint64_t word,
-                               sim::BitTime count) {
-  // Per-bit stepping would latch every window level into the PIO read
-  // register; only the last one survives.
-  pio_.latch_rx(((word >> (count - 1)) & 1u) != 0 ? sim::BitLevel::Recessive
-                                                  : sim::BitLevel::Dominant);
-  ctrl_.on_bus_word(now, word, count);
-  now_ = now + count - 1;
-}
-
 }  // namespace mcan::core

@@ -50,12 +50,6 @@ class MichiCanNode : public can::CanNode {
   void on_bus_bit(sim::BitLevel bus) override;
   [[nodiscard]] sim::BitTime next_activity(sim::BitTime now) const override;
   void on_idle_skip(sim::BitTime count) override;
-  [[nodiscard]] DrivePattern drive_pattern(sim::BitTime now) override;
-  [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime now,
-                                              std::uint64_t word,
-                                              sim::BitTime count) override;
-  void on_bus_word(sim::BitTime now, std::uint64_t word,
-                   sim::BitTime count) override;
   [[nodiscard]] std::string_view name() const override { return name_; }
 
  private:

@@ -41,10 +41,6 @@ void VehicleTopology::set_fast_path(bool enabled) {
   for (auto& bus : buses_) bus->set_fast_path(enabled);
 }
 
-void VehicleTopology::set_batching(bool enabled) {
-  for (auto& bus : buses_) bus->set_batching(enabled);
-}
-
 void VehicleTopology::run(sim::Bits bits) {
   if (gateways_.empty()) {
     // Degenerate single-segment topology: no chunking, so the engine
@@ -93,12 +89,6 @@ std::uint64_t VehicleTopology::frames_dropped() const noexcept {
 std::uint64_t VehicleTopology::bits_skipped() const noexcept {
   std::uint64_t total = 0;
   for (const auto& bus : buses_) total += bus->bits_skipped();
-  return total;
-}
-
-std::uint64_t VehicleTopology::bits_batched() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& bus : buses_) total += bus->bits_batched();
   return total;
 }
 

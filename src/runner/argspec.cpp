@@ -1,6 +1,8 @@
 #include "runner/argspec.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -50,6 +52,20 @@ std::uint64_t parse_u64_arg(const std::string& text, std::string_view what) {
     pos = 0;
   }
   if (pos == 0 || pos != text.size()) {
+    throw std::invalid_argument(std::string{"malformed "} + std::string{what} +
+                                ": '" + text + "'");
+  }
+  return v;
+}
+
+double parse_double_arg(const std::string& text, std::string_view what) {
+  // from_chars ignores the locale and takes neither leading whitespace nor
+  // a '+' sign, so "1.5" means the same thing everywhere and "1.5x", " 2"
+  // or "" are errors instead of a silent prefix parse (atof gives 0).
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || !std::isfinite(v)) {
     throw std::invalid_argument(std::string{"malformed "} + std::string{what} +
                                 ": '" + text + "'");
   }

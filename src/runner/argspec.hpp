@@ -110,6 +110,12 @@ class ArgTable {
 [[nodiscard]] std::uint64_t parse_u64_arg(const std::string& text,
                                           std::string_view what);
 
+/// Parse a finite decimal floating-point number that spans all of `text`
+/// (locale-independent); throws std::invalid_argument naming `what` on
+/// malformed input, trailing garbage, inf or nan.
+[[nodiscard]] double parse_double_arg(const std::string& text,
+                                      std::string_view what);
+
 /// Parse an int constrained to [lo, hi]; throws std::invalid_argument
 /// naming `what` when malformed or out of range.
 [[nodiscard]] int parse_int_arg(const std::string& text, int lo, int hi,

@@ -130,14 +130,6 @@ std::uint64_t CampaignReport::bits_skipped() const {
   return bits;
 }
 
-std::uint64_t CampaignReport::bits_batched() const {
-  std::uint64_t bits = 0;
-  for (const auto& t : tasks) {
-    if (t.ok) bits += t.result.bits_batched;
-  }
-  return bits;
-}
-
 std::vector<CellPlan> plan_campaign(const CampaignConfig& cfg) {
   if (cfg.specs.empty()) {
     throw std::invalid_argument("campaign: no experiment specs");

@@ -200,10 +200,6 @@ struct CampaignReport {
   /// task.  Runtime perf info (zero with the fast path off) — lives next to
   /// wall clocks, never in the deterministic section.
   [[nodiscard]] std::uint64_t bits_skipped() const;
-
-  /// Bits resolved by the word-level batched engine across every successful
-  /// task (zero with batching off).  Same runtime-only status.
-  [[nodiscard]] std::uint64_t bits_batched() const;
 };
 
 /// Run the grid.  Specs that fail validation or throw mid-run are recorded

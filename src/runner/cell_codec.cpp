@@ -298,7 +298,7 @@ bool decode_fuzz_cell(std::string_view bytes, FuzzCellResult& out) {
   out.derived_seed = derived_seed;
   Reader r{bytes};
   std::uint8_t kind = 0;
-  if (!r.magic(kFuzzMagic) || !r.u8(kind) || kind > 3 ||
+  if (!r.magic(kFuzzMagic) || !r.u8(kind) || kind > 2 ||
       !r.boolean(out.diverged) || !r.str(out.divergence) ||
       !r.boolean(out.stats.oracle_checked) ||
       !r.boolean(out.stats.collision_skip) ||

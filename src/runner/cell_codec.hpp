@@ -5,7 +5,7 @@
 // michican.campaign.v1 report read: attacker outcomes (including the raw
 // per-cycle samples the pooled percentiles are computed from), defender
 // health, detection/fault forensics, the Fig. 6 trace and the full metrics
-// registry.  Runtime facts (profile wall clocks, bits_skipped/bits_batched,
+// registry.  Runtime facts (profile wall clocks, bits_skipped,
 // timeline exports) are deliberately absent: they are not part of the
 // deterministic report section, and caching them would make a warm run
 // claim a cold run's wall clocks.

@@ -139,7 +139,7 @@ std::uint64_t spec_fingerprint(const analysis::ExperimentSpec& spec) {
     fp.mix_u64(static_cast<std::uint64_t>(spec.trace_replay.format));
     fp.mix_double(spec.trace_replay.time_scale);
   }
-  // fast_path / batching / capture_timeline excluded by design: the
+  // fast_path / capture_timeline excluded by design: the
   // equivalence gates guarantee they cannot change the result.
   return fp.digest();
 }

@@ -10,15 +10,14 @@
 //
 // Cache key = (spec content hash, derived seed, engine version):
 //   * spec hash    — fingerprint() over every semantic ExperimentSpec field
-//                    in a fixed order.  The engine-selection toggles
-//                    (fast_path, batching) and capture_timeline are
-//                    deliberately EXCLUDED: the equivalence suites
-//                    (test_fast_path, test_batch_engine, the conformance
-//                    fuzzer) enforce that they cannot change the result, so
-//                    keying on them would only split the cache.  The spec's
-//                    own `seed` field is excluded too — the campaign
-//                    overwrites it with the derived task seed, which is the
-//                    second key component.
+//                    in a fixed order.  The engine-selection toggle
+//                    (fast_path) and capture_timeline are deliberately
+//                    EXCLUDED: the equivalence suites (test_fast_path, the
+//                    conformance fuzzer) enforce that they cannot change the
+//                    result, so keying on them would only split the cache.
+//                    The spec's own `seed` field is excluded too — the
+//                    campaign overwrites it with the derived task seed,
+//                    which is the second key component.
 //   * derived seed — sim::derive_seed(spec_root, seed); a pure function of
 //                    (base_seed, spec_index, seed).
 //   * engine       — kEngineVersion, bumped whenever simulation semantics
@@ -48,7 +47,7 @@ namespace mcan::runner {
 /// cell's deterministic result bytes (protocol model, codec layout,
 /// aggregation inputs), and every previously cached cell goes stale at
 /// once — no manual cache flush, no corrupt reuse.
-inline constexpr std::string_view kEngineVersion = "michican-cell-v1";
+inline constexpr std::string_view kEngineVersion = "michican-cell-v2";
 
 /// Incremental FNV-1a 64-bit content hash.  Not cryptographic — the cache
 /// is a local trusted store; what matters is stability across runs and

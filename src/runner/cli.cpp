@@ -34,9 +34,7 @@ ArgTable shared_cli_table(CliOptions& opts) {
             &opts.progress)
       .flag("--no-fast-path",
             "pin the naive per-bit kernel (disable quiescence skipping)",
-            &opts.fast_path, false)
-      .flag("--no-batch", "disable the word-level batched bit engine",
-            &opts.batching, false);
+            &opts.fast_path, false);
   return table;
 }
 

@@ -16,8 +16,6 @@
 //   --no-fast-path  pin the naive per-bit kernel (disable quiescence
 //                   skipping); the recording is byte-identical either way,
 //                   so this exists for bisecting and perf comparison
-//   --no-batch      disable the word-level batched bit engine (same
-//                   byte-identity guarantee and bisecting purpose)
 //
 // dispatch() is the shared subcommand front end: a driver hands it a table
 // of (name, operand summary, help line, handler) rows and gets uniform
@@ -44,8 +42,6 @@ struct CliOptions {
   bool progress{false};
   /// Quiescence-skipping kernel; --no-fast-path clears it.
   bool fast_path{true};
-  /// Word-level batched bit engine; --no-batch clears it.
-  bool batching{true};
 };
 
 /// Parse "A..B" or "N" into a half-open seed range.

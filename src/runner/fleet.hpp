@@ -60,7 +60,6 @@ struct FleetConfig {
   /// own duration.
   double duration_ms{0};
   bool fast_path{true};
-  bool batching{true};
   /// Shared cell-cache directory (serve::DiskStore layout).  Workers and
   /// the merge pass all open stores on this path; the checkpoint poller
   /// scans it for "<cell id>.cell" files.

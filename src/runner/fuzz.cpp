@@ -180,7 +180,6 @@ std::string to_json(const FuzzReport& report, JsonOptions opts) {
      << ",\"kinds\":{\"clean\":" << report.kind_counts[0]
      << ",\"scheduled_flip\":" << report.kind_counts[1]
      << ",\"noisy\":" << report.kind_counts[2]
-     << ",\"batched\":" << report.kind_counts[3]
      << "},\"checks\":{\"oracle_checked\":" << report.oracle_checked
      << ",\"collision_skips\":" << report.collision_skips
      << ",\"frames_on_wire\":" << report.frames_on_wire
@@ -222,9 +221,8 @@ std::string format_summary(const FuzzReport& report) {
   std::ostringstream os;
   os << "fuzz: " << report.cases << " cases (clean " << report.kind_counts[0]
      << ", scheduled_flip " << report.kind_counts[1] << ", noisy "
-     << report.kind_counts[2] << ", batched " << report.kind_counts[3]
-     << "), seeds [" << report.seeds.begin << ", " << report.seeds.end
-     << ")\n";
+     << report.kind_counts[2] << "), seeds [" << report.seeds.begin << ", "
+     << report.seeds.end << ")\n";
   os << "checks: " << report.oracle_checked << " oracle-checked, "
      << report.frames_on_wire << " frames decoded bit-for-bit, "
      << report.wire_bits_compared << " wire bits compared, "

@@ -104,7 +104,7 @@ struct FuzzReport {
   std::uint64_t base_seed{};
   SeedRange seeds{};
   std::size_t cases{};
-  std::uint64_t kind_counts[4]{};  // indexed by CaseKind
+  std::uint64_t kind_counts[3]{};  // indexed by CaseKind
   std::uint64_t oracle_checked{};
   std::uint64_t collision_skips{};
   std::uint64_t frames_on_wire{};

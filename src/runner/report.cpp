@@ -135,7 +135,6 @@ std::string to_json(const CampaignReport& report, JsonOptions opts) {
        << ",\"serialize_ms\":" << fmt_double(serialize_ms)
        << ",\"bits_simulated\":" << bits
        << ",\"bits_skipped\":" << report.bits_skipped()
-       << ",\"bits_batched\":" << report.bits_batched()
        << ",\"bits_per_second\":"
        << fmt_double(sim_ms > 0 ? static_cast<double>(bits) / (sim_ms / 1e3)
                                 : 0.0)

@@ -306,7 +306,11 @@ std::optional<JsonValue> parse_json(std::string_view text) {
 }
 
 std::string extract_object(std::string_view doc, std::string_view key) {
-  const std::string needle = "\"" + std::string{key} + "\":";
+  // Built by append: GCC 12's -O3 flags `"lit" + std::string{...}` with a
+  // false-positive -Wrestrict inside libstdc++.
+  std::string needle;
+  needle.reserve(key.size() + 3);
+  needle.append("\"").append(key).append("\":");
   const auto at = doc.find(needle);
   if (at == std::string_view::npos) return {};
   std::size_t i = at + needle.size();

@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace mcan::sim {
@@ -18,21 +17,6 @@ void LogicAnalyzer::sample_run(BitLevel level, BitTime count) {
     runs_.push_back({size_, count, level});
   }
   size_ += count;
-}
-
-void LogicAnalyzer::sample_word(std::uint64_t word, BitTime count) {
-  // Decompose into maximal constant-level runs: countr_one/countr_zero on a
-  // shrinking word, so a fully recessive window costs one sample_run call.
-  BitTime done = 0;
-  while (done < count) {
-    const std::uint64_t rest = word >> done;
-    const bool recessive = (rest & 1u) != 0;
-    auto run = static_cast<BitTime>(recessive ? std::countr_one(rest)
-                                              : std::countr_zero(rest));
-    run = std::min(run, count - done);
-    sample_run(recessive ? BitLevel::Recessive : BitLevel::Dominant, run);
-    done += run;
-  }
 }
 
 void LogicAnalyzer::annotate(BitTime at, std::string text) {

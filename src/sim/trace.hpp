@@ -40,12 +40,6 @@ class LogicAnalyzer {
   /// stretch).  Equivalent to calling sample(level) `count` times.
   void sample_run(BitLevel level, BitTime count);
 
-  /// Record `count` bits from a resolved bus word, LSB-first (bit i of
-  /// `word` is to_bit() of the level at offset i; 1 = recessive).
-  /// Equivalent to `count` sample() calls — the batched kernel's bulk
-  /// recording path.  `count` must be <= 64.
-  void sample_word(std::uint64_t word, BitTime count);
-
   /// Attach a text annotation at a given bit time (e.g. "0x066 SOF").
   void annotate(BitTime at, std::string text);
 

@@ -47,7 +47,7 @@ enum class BitLevel : std::uint8_t {
 /// Monotone simulation time, counted in nominal bit times since start.
 using BitTime = std::uint64_t;
 
-/// Saturating add for bit-time arithmetic on the skip/batch paths.  Horizon
+/// Saturating add for bit-time arithmetic on the skip path.  Horizon
 /// math routinely mixes finite clocks with sentinel values (kNever, huge
 /// geometric flip gaps); on soak-length runs an unchecked `now + span`
 /// wraps to a tiny number and silently truncates or never terminates the

@@ -200,6 +200,30 @@ TEST(ParseHelpers, RejectSignsAndWhitespace) {
   }
 }
 
+TEST(ParseHelpers, DoubleMustBeWholeAndFinite) {
+  // Regression: CLI numbers went through std::atof, which reads "xyz" as 0
+  // and "12ms" as 12.  parse_double_arg takes the whole string or throws.
+  EXPECT_EQ(runner::parse_double_arg("1248", "bits"), 1248.0);
+  EXPECT_EQ(runner::parse_double_arg("1e-4", "--bers rate"), 1e-4);
+  EXPECT_EQ(runner::parse_double_arg("-2.5", "x"), -2.5);
+  EXPECT_EQ(runner::parse_double_arg("0", "x"), 0.0);
+  for (const char* bad : {"", "xyz", "12ms", "1.5.2", " 1", "1 ", "+1",
+                          "1,5", "0x10", "inf", "-inf", "nan", "1e999",
+                          "--1", "."}) {
+    EXPECT_THROW((void)runner::parse_double_arg(bad, "bits"),
+                 std::invalid_argument)
+        << "input: '" << bad << "'";
+  }
+  try {
+    (void)runner::parse_double_arg("xyz", "attack_blocking_bits");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("attack_blocking_bits"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("xyz"), std::string::npos) << msg;
+  }
+}
+
 TEST(ScenarioSuggestions, TyposAndPrefixesResolveToNearMisses) {
   const auto& reg = analysis::ScenarioRegistry::built_in();
   {

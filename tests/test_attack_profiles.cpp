@@ -164,11 +164,9 @@ TEST(ReplayAttacker, InjectsEveryTraceFrameAtItsTimestamp) {
 
 /// Replay `text` through a dedicated controller on the selected engine
 /// tier and return the recorded trace re-serialized as candump text.
-std::string replay_once(const std::string& text, bool fast_path,
-                        bool batching) {
+std::string replay_once(const std::string& text, bool fast_path) {
   can::WiredAndBus bus{kSpeed};
   bus.set_fast_path(fast_path);
-  bus.set_batching(batching);
   can::BitController player{"player"};
   player.attach_to(bus);
   restbus::attach_candump_replay(player, restbus::parse_candump(text),
@@ -181,7 +179,7 @@ std::string replay_once(const std::string& text, bool fast_path,
 
 TEST(ReplayRoundTrip, RecordSerializeParseReplayByteIdenticalOnEveryTier) {
   // record -> to_candump -> parse_candump -> replay: the recorded document
-  // must be byte-identical on repeated runs and across all three engine
+  // must be byte-identical on repeated runs and across both engine
   // tiers, and so must a second round-trip that replays the recording
   // itself (recordings are valid replay inputs).
   std::vector<restbus::CandumpEntry> source;
@@ -192,28 +190,23 @@ TEST(ReplayRoundTrip, RecordSerializeParseReplayByteIdenticalOnEveryTier) {
                                                                0x03, 0x04})});
   const std::string text = restbus::to_candump(source);
 
-  constexpr std::pair<bool, bool> kTiers[] = {
-      {false, false}, {true, false}, {true, true}};
   std::vector<std::string> recordings;
   std::vector<std::string> second_pass;
-  for (const auto& [fast_path, batching] : kTiers) {
-    const std::string rec = replay_once(text, fast_path, batching);
+  for (const bool fast_path : {false, true}) {
+    const std::string rec = replay_once(text, fast_path);
     ASSERT_FALSE(rec.empty());
-    EXPECT_EQ(rec, replay_once(text, fast_path, batching))
-        << "replay nondeterministic (fast_path=" << fast_path
-        << " batching=" << batching << ")";
+    EXPECT_EQ(rec, replay_once(text, fast_path))
+        << "replay nondeterministic (fast_path=" << fast_path << ")";
     // The recording parses back and replays: a second round-trip, equally
     // deterministic.
-    const std::string again = replay_once(rec, fast_path, batching);
-    EXPECT_EQ(again, replay_once(rec, fast_path, batching));
+    const std::string again = replay_once(rec, fast_path);
+    EXPECT_EQ(again, replay_once(rec, fast_path));
     recordings.push_back(rec);
     second_pass.push_back(again);
   }
-  ASSERT_EQ(recordings.size(), 3u);
+  ASSERT_EQ(recordings.size(), 2u);
   EXPECT_EQ(recordings[0], recordings[1]) << "naive vs quiescence";
-  EXPECT_EQ(recordings[1], recordings[2]) << "quiescence vs batched";
   EXPECT_EQ(second_pass[0], second_pass[1]);
-  EXPECT_EQ(second_pass[1], second_pass[2]);
   // All four source frames survive the round-trip.
   EXPECT_EQ(restbus::parse_candump(recordings[0]).size(), source.size());
 }

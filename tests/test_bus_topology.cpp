@@ -32,7 +32,11 @@ TEST(BusTopology, TwentyNodeArbitrationResolvesStrictlyByPriority) {
     }
   }
   for (const auto id : ids) {
-    auto n = std::make_unique<BitController>("n" + std::to_string(id));
+    // Appended, not `"n" + std::to_string(id)`: GCC 12 -O3 raises a
+    // false-positive -Wrestrict on that concatenation inside libstdc++.
+    std::string name = "n";
+    name.append(std::to_string(id));
+    auto n = std::make_unique<BitController>(name);
     n->attach_to(bus);
     n->enqueue(CanFrame::make(id, {0x01}));
     nodes.push_back(std::move(n));
@@ -61,7 +65,9 @@ TEST(BusTopology, SaturatedBusDropsNoFramesJustDelaysThem) {
   // Ten senders whose combined analytic load is > 100 %: the bus runs at
   // saturation but the protocol stays loss-free for queued frames.
   for (int i = 0; i < 10; ++i) {
-    auto n = std::make_unique<BitController>("n" + std::to_string(i));
+    std::string name = "n";  // appended: see the -Wrestrict note above
+    name.append(std::to_string(i));
+    auto n = std::make_unique<BitController>(name);
     n->attach_to(bus);
     attach_periodic(*n,
                     CanFrame::make_pattern(

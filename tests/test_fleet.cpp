@@ -19,8 +19,13 @@ restbus::CommMatrix small_matrix() {
                             0x240, 0x300, 0x3A0, 0x450};
   int i = 0;
   for (const auto id : ids) {
-    msgs.push_back({id, 50.0 + 25.0 * i, 8,
-                    "M" + std::to_string(i), "E" + std::to_string(i)});
+    // Appended, not `"M" + std::to_string(i)`: GCC 12 -O3 raises a
+    // false-positive -Wrestrict on that concatenation inside libstdc++.
+    std::string msg = "M";
+    std::string ecu = "E";
+    msg.append(std::to_string(i));
+    ecu.append(std::to_string(i));
+    msgs.push_back({id, 50.0 + 25.0 * i, 8, msg, ecu});
     ++i;
   }
   return restbus::CommMatrix{"small", std::move(msgs)};

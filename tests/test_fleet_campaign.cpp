@@ -231,8 +231,7 @@ TEST(Checkpoint, PlanHashCoversWorkDefinitionOnly) {
   }
   {
     FleetConfig cfg = base;
-    cfg.fast_path = false;  // engine toggles are equivalence-gated
-    cfg.batching = false;
+    cfg.fast_path = false;  // the engine toggle is equivalence-gated
     EXPECT_EQ(runner::fleet_plan_hash(cfg), h);
   }
   {

@@ -63,25 +63,9 @@ TEST(Fuzz, CasesAreAssignedRoundRobinOverSeedStreams) {
 TEST(Fuzz, KindCountsSumToCases) {
   const auto report = run_fuzz(small_config());
   EXPECT_EQ(report.kind_counts[0] + report.kind_counts[1] +
-                report.kind_counts[2] + report.kind_counts[3],
+                report.kind_counts[2],
             report.cases);
   EXPECT_EQ(report.cells.size(), report.cases);
-}
-
-TEST(Fuzz, BatchedPopulationIsGeneratedAndOracleChecked) {
-  auto cfg = small_config();
-  cfg.cases = 120;
-  cfg.jobs = 0;
-  const auto report = run_fuzz(cfg);
-  // ~15% of cases target the word-level batch engine; they run the full
-  // Clean-tier oracle and the three-way engine identity comparison.
-  EXPECT_GT(report.kind_counts[3], 0u);
-  const auto json = to_json(report);
-  EXPECT_NE(json.find("\"batched\":"), std::string::npos);
-  for (const auto& d : report.divergences) {
-    ADD_FAILURE() << "case " << d.index << " seed " << d.derived_seed << ": "
-                  << report.cells[d.index].divergence;
-  }
 }
 
 TEST(Fuzz, ProgressCallbackIsSerializedAndComplete) {

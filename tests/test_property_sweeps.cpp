@@ -3,6 +3,10 @@
 // within the theoretical bit budget, at any bus speed, for any DLC.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+#include <string>
+
 #include "analysis/busoff_meter.hpp"
 #include "analysis/theory.hpp"
 #include "attack/attacker.hpp"
@@ -154,6 +158,24 @@ struct ScenarioCase {
   bool expect_busoff;
 };
 
+const char* scenario_name(core::Scenario s) {
+  return s == core::Scenario::Full ? "Full" : "Light";
+}
+
+std::string hex_id(int id) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "0x%03X", static_cast<unsigned>(id));
+  return buf;
+}
+
+// Without a PrintTo gtest dumps the struct's raw bytes, padding included,
+// into every listed test name, so the names ctest registers would change
+// from one build to the next.
+void PrintTo(const ScenarioCase& c, std::ostream* os) {
+  *os << scenario_name(c.scenario) << ' ' << hex_id(c.attacker_id)
+      << (c.expect_busoff ? " bus-off" : " survives");
+}
+
 class ScenarioSweep : public ::testing::TestWithParam<ScenarioCase> {};
 
 TEST_P(ScenarioSweep, MatchesDeploymentSemantics) {
@@ -181,9 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
         ScenarioCase{core::Scenario::Light, 0x064, false}, // light skips DoS
         ScenarioCase{core::Scenario::Light, 0x173, true}), // own ID guarded
     [](const ::testing::TestParamInfo<ScenarioCase>& p) {
-      return std::string(p.param.scenario == core::Scenario::Full ? "Full"
-                                                                  : "Light") +
-             "_0x" + std::to_string(p.param.attacker_id);
+      return std::string(scenario_name(p.param.scenario)) + "_" +
+             hex_id(p.param.attacker_id);
     });
 
 }  // namespace
