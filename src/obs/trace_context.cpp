@@ -1,65 +1,6 @@
 #include "obs/trace_context.hpp"
 
-#include <algorithm>
-#include <set>
-
-#include "obs/jsonfmt.hpp"
-
 namespace mcan::obs {
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
-
-std::uint64_t fnv_mix(std::uint64_t hash, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-int hex_digit(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-}  // namespace
-
-std::string hex16(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
-
-std::optional<std::uint64_t> parse_hex16(std::string_view text) {
-  if (text.size() != 16) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    const int d = hex_digit(c);
-    if (d < 0) return std::nullopt;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  return v;
-}
-
-TraceIdBuilder& TraceIdBuilder::mix(std::string_view part) {
-  const std::uint64_t len = part.size();
-  hash_ = fnv_mix(hash_, &len, sizeof len);
-  hash_ = fnv_mix(hash_, part.data(), part.size());
-  return *this;
-}
-
-TraceIdBuilder& TraceIdBuilder::mix_u64(std::uint64_t v) {
-  hash_ = fnv_mix(hash_, &v, sizeof v);
-  return *this;
-}
 
 SpanCollector::SpanCollector(std::uint64_t trace_id,
                              std::chrono::steady_clock::time_point epoch)
@@ -86,11 +27,6 @@ std::vector<Span> SpanCollector::spans() const {
   return spans_;
 }
 
-std::size_t SpanCollector::span_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
 SpanCollector::Scope::Scope(SpanCollector* collector, std::string_view name,
                             std::string_view category, std::uint64_t parent)
     : collector_(collector), parent_(parent) {
@@ -110,70 +46,7 @@ SpanCollector::Scope::~Scope() {
   span.category = std::move(category_);
   span.start_us = start_us_;
   span.dur_us = collector_->now_us() - start_us_;
-  span.track = track_;
-  span.args_json = std::move(args_json_);
   collector_->record(std::move(span));
-}
-
-std::string SpanCollector::to_chrome_events(int pid) const {
-  auto sorted = spans();
-  if (sorted.empty()) return {};
-  std::sort(sorted.begin(), sorted.end(), [](const Span& a, const Span& b) {
-    if (a.track != b.track) return a.track < b.track;
-    if (a.start_us != b.start_us) return a.start_us < b.start_us;
-    return a.id < b.id;
-  });
-
-  const std::string id_hex = hex16(trace_id_);
-  std::string out;
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(pid) +
-         ",\"tid\":0,\"args\":{\"name\":\"michican-serve\"}}";
-  std::set<int> tracks;
-  for (const auto& s : sorted) tracks.insert(s.track);
-  for (const int track : tracks) {
-    const std::string label =
-        track == 0 ? std::string("service")
-                   : "cell " + std::to_string(track - 1);
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-           std::to_string(pid) + ",\"tid\":" + std::to_string(track) +
-           ",\"args\":{\"name\":\"" + label + "\"}}";
-  }
-  for (const auto& s : sorted) {
-    out += ",\n{\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"" +
-           json_escape(s.category) + "\",\"ph\":\"X\",\"ts\":" +
-           fmt_double(s.start_us) + ",\"dur\":" + fmt_double(s.dur_us) +
-           ",\"pid\":" + std::to_string(pid) +
-           ",\"tid\":" + std::to_string(s.track) +
-           ",\"args\":{\"trace_id\":\"" + id_hex +
-           "\",\"span\":" + std::to_string(s.id) +
-           ",\"parent\":" + std::to_string(s.parent);
-    if (!s.args_json.empty()) {
-      out += ',';
-      out += s.args_json;
-    }
-    out += "}}";
-  }
-  return out;
-}
-
-std::string SpanCollector::to_chrome_trace(int pid) const {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":"
-                    "\"michican.trace.v1\",\"trace_id\":\"" +
-                    hex16(trace_id_) + "\"},\"traceEvents\":[\n";
-  out += to_chrome_events(pid);
-  out += "\n]}\n";
-  return out;
-}
-
-std::string splice_into_chrome_trace(std::string trace_json,
-                                     const std::string& events) {
-  if (events.empty()) return trace_json;
-  static constexpr std::string_view kMarker = "\"traceEvents\":[\n";
-  const auto pos = trace_json.find(kMarker);
-  if (pos == std::string::npos) return trace_json;
-  trace_json.insert(pos + kMarker.size(), events + ",\n");
-  return trace_json;
 }
 
 }  // namespace mcan::obs

@@ -1,15 +1,7 @@
-// Request tracing for serve mode: a 64-bit trace id derived from the
-// request's seed material, plus a thread-safe collector of completed spans
-// (parse → plan → per-cell cache-probe/compute → aggregate → serialize).
-//
-// The trace id travels from the submit client through the optional
-// michican.serve.v1 `trace` field into the runner, and every exported span
-// carries it in its args — so a single Perfetto view correlates service
-// spans (pid 1) with the simulator's bit-level tracks (pid 0) under one id.
-//
-// Layering: obs sits below runner, so the id derivation here is a local
-// FNV-1a with length-framed parts (runner::Fingerprint is not visible from
-// this library; the constants match FNV-1a 64 by construction).
+// Run tracing: a thread-safe collector of completed, named spans (plan →
+// per-cell cache-probe/compute → aggregate, shrink for fuzz runs).  The
+// runners record into it when a caller attaches one; the paper-workload
+// benchmark sums span durations by name into its per-layer ledger.
 //
 // Determinism: spans are runtime telemetry and must never perturb report
 // byte-identity — collectors hang off config pointers that default to
@@ -19,33 +11,13 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace mcan::obs {
 
-/// Lower-case, zero-padded 16-hex-digit rendering of a 64-bit id.
-[[nodiscard]] std::string hex16(std::uint64_t v);
-
-/// Parse exactly 16 lower/upper hex digits; nullopt on anything else.
-[[nodiscard]] std::optional<std::uint64_t> parse_hex16(std::string_view text);
-
-/// Accumulates request seed material (op name, scenario list, seed range,
-/// case count, ...) into a 64-bit trace id.  Length-framed so that
-/// mix("ab").mix("c") != mix("a").mix("bc").
-class TraceIdBuilder {
- public:
-  TraceIdBuilder& mix(std::string_view part);
-  TraceIdBuilder& mix_u64(std::uint64_t v);
-  [[nodiscard]] std::uint64_t id() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_{0xCBF29CE484222325ull};  // FNV-1a 64 offset basis
-};
-
-/// One completed service span.  Times are microseconds on the steady clock
+/// One completed span.  Times are microseconds on the steady clock
 /// relative to the collector's epoch.
 struct Span {
   std::uint64_t id{};      // unique within the collector, assigned from 1
@@ -54,17 +26,13 @@ struct Span {
   std::string category;
   double start_us{};
   double dur_us{};
-  int track{0};  // Chrome-trace tid: 0 = service row, 1+N = cell rows
-  std::string args_json;  // extra pre-rendered "key":value pairs (may be "")
 };
 
-/// Thread-safe sink for completed spans.  Workers record concurrently; the
-/// export sorts by (track, start) so output is stable for rendering.
+/// Thread-safe sink for completed spans; workers record concurrently.
 class SpanCollector {
  public:
-  /// `epoch` anchors span timestamps; defaults to construction time.  Pass
-  /// an earlier point (e.g. when the request frame started arriving) to
-  /// give the parse span a true start.
+  /// `trace_id` labels the run; `epoch` anchors span timestamps and
+  /// defaults to construction time.
   explicit SpanCollector(std::uint64_t trace_id,
                          std::chrono::steady_clock::time_point epoch =
                              std::chrono::steady_clock::now());
@@ -82,7 +50,6 @@ class SpanCollector {
   void record(Span span);
 
   [[nodiscard]] std::vector<Span> spans() const;
-  [[nodiscard]] std::size_t span_count() const;
 
   /// RAII span: reserves an id at construction (children can parent to it
   /// immediately) and records the completed span at destruction.  A null
@@ -96,8 +63,6 @@ class SpanCollector {
     Scope& operator=(const Scope&) = delete;
 
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-    void set_track(int track) noexcept { track_ = track; }
-    void set_args(std::string args_json) { args_json_ = std::move(args_json); }
 
    private:
     SpanCollector* collector_;
@@ -106,20 +71,7 @@ class SpanCollector {
     std::string name_;
     std::string category_;
     double start_us_{0};
-    int track_{0};
-    std::string args_json_;
   };
-
-  /// Chrome trace-event fragment: ",\n"-joined events (no enclosing array)
-  /// — process/thread metadata plus one "X" slice per span, all at `pid`,
-  /// each tagged "trace_id":"<hex16>".  Empty string when no spans were
-  /// recorded.  Feed to splice_into_chrome_trace or wrap via
-  /// to_chrome_trace().
-  [[nodiscard]] std::string to_chrome_events(int pid = 1) const;
-
-  /// Standalone Chrome trace document of just the service spans (for
-  /// requests with no sim timeline to merge into).
-  [[nodiscard]] std::string to_chrome_trace(int pid = 1) const;
 
  private:
   std::uint64_t trace_id_;
@@ -128,12 +80,5 @@ class SpanCollector {
   std::uint64_t next_id_{1};
   std::vector<Span> spans_;
 };
-
-/// Insert `events` (a to_chrome_events fragment) into an existing Chrome
-/// trace document produced by obs::to_chrome_trace — the service spans land
-/// at their own pid above the sim tracks.  Returns the document unchanged
-/// when `events` is empty or the envelope marker is missing.
-[[nodiscard]] std::string splice_into_chrome_trace(std::string trace_json,
-                                                   const std::string& events);
 
 }  // namespace mcan::obs

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "restbus/parse_number.hpp"
+
 namespace mcan::restbus {
 namespace {
 
@@ -33,9 +35,10 @@ CommMatrix parse_dbc(std::string_view text, std::string bus_name,
     };
     if (line.rfind("BO_ ", 0) == 0) {
       std::istringstream ls{line.substr(4)};
+      std::string id_str, name, dlc_str, ecu;
+      if (!(ls >> id_str >> name >> dlc_str >> ecu)) fail("malformed BO_");
       std::uint64_t raw_id = 0;
-      std::string name, dlc_str, ecu;
-      if (!(ls >> raw_id >> name >> dlc_str >> ecu)) fail("malformed BO_");
+      if (!parse_number(id_str, raw_id)) fail("bad message id");
       if (name.empty() || name.back() != ':') fail("missing ':' after name");
       name.pop_back();
       MessageDef m;
@@ -46,19 +49,28 @@ CommMatrix parse_dbc(std::string_view text, std::string bus_name,
       }
       // The CommMatrix keeps 11-bit IDs; extended entries are stored with
       // their full 29-bit value (callers distinguish via is_valid_id()).
-      m.dlc = static_cast<std::uint8_t>(std::stoi(dlc_str));
-      if (m.dlc > 8) fail("DLC > 8");
+      unsigned dlc = 0;
+      if (!parse_number(dlc_str, dlc)) fail("bad DLC");
+      if (dlc > 8) fail("DLC > 8");
+      m.dlc = static_cast<std::uint8_t>(dlc);
       m.name = name;
       m.tx_ecu = ecu;
       m.period_ms = default_period_ms;
       by_raw_id[raw_id] = std::move(m);
     } else if (line.rfind("BA_ \"GenMsgCycleTime\" BO_ ", 0) == 0) {
       std::istringstream ls{line.substr(26)};
+      std::string id_str, period_str, rest;
+      if (!(ls >> id_str >> period_str)) fail("malformed BA_ cycle time");
+      // The closing ';' may touch the value ("100;") or stand alone.
+      if (!period_str.empty() && period_str.back() == ';') {
+        period_str.pop_back();
+      } else if (ls >> rest && rest != ";") {
+        fail("malformed BA_ cycle time");
+      }
       std::uint64_t raw_id = 0;
       double period = 0;
-      char semi = 0;
-      if (!(ls >> raw_id >> period)) fail("malformed BA_ cycle time");
-      ls >> semi;  // optional ';'
+      if (!parse_number(id_str, raw_id)) fail("bad message id");
+      if (!parse_number(period_str, period)) fail("bad cycle time");
       const auto it = by_raw_id.find(raw_id);
       if (it == by_raw_id.end()) fail("BA_ for unknown message");
       if (period <= 0) fail("non-positive cycle time");

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "restbus/parse_number.hpp"
+
 namespace mcan::restbus {
 namespace {
 
@@ -140,8 +142,13 @@ std::optional<SignalDef> parse_sg_line(const std::string& line) {
       atp + 1 >= layout.size()) {
     return fail("bad layout");
   }
-  sig.start_bit = std::stoi(layout.substr(0, pipe));
-  sig.length = std::stoi(layout.substr(pipe + 1, atp - pipe - 1));
+  const std::string_view lv{layout};
+  if (!parse_number(lv.substr(0, pipe), sig.start_bit)) {
+    return fail("bad start bit");
+  }
+  if (!parse_number(lv.substr(pipe + 1, atp - pipe - 1), sig.length)) {
+    return fail("bad length");
+  }
   sig.order = layout[atp + 1] == '1' ? ByteOrder::Intel : ByteOrder::Motorola;
   sig.is_signed = atp + 2 < layout.size() && layout[atp + 2] == '-';
   if (sig.length < 1 || sig.length > 64) return fail("bad length");
@@ -150,19 +157,23 @@ std::optional<SignalDef> parse_sg_line(const std::string& line) {
       scale_off.back() != ')') {
     return fail("bad (scale,offset)");
   }
-  const auto comma = scale_off.find(',');
-  if (comma == std::string::npos) return fail("bad (scale,offset)");
-  sig.scale = std::stod(scale_off.substr(1, comma - 1));
-  sig.offset = std::stod(
-      scale_off.substr(comma + 1, scale_off.size() - comma - 2));
+  const std::string_view sv{scale_off};
+  const auto comma = sv.find(',');
+  if (comma == std::string_view::npos ||
+      !parse_number(sv.substr(1, comma - 1), sig.scale) ||
+      !parse_number(sv.substr(comma + 1, sv.size() - comma - 2), sig.offset)) {
+    return fail("bad (scale,offset)");
+  }
   if (sig.scale == 0.0) return fail("zero scale");
   // Optional [min|max] and "unit".
   std::string range, unit;
   if (ls >> range && range.size() >= 3 && range.front() == '[') {
-    const auto bar = range.find('|');
-    if (bar != std::string::npos && range.back() == ']') {
-      sig.min = std::stod(range.substr(1, bar - 1));
-      sig.max = std::stod(range.substr(bar + 1, range.size() - bar - 2));
+    const std::string_view rv{range};
+    const auto bar = rv.find('|');
+    if (bar != std::string_view::npos && rv.back() == ']' &&
+        (!parse_number(rv.substr(1, bar - 1), sig.min) ||
+         !parse_number(rv.substr(bar + 1, rv.size() - bar - 2), sig.max))) {
+      return fail("bad [min|max]");
     }
     ls >> unit;
   } else {

@@ -160,8 +160,7 @@ std::vector<CellPlan> plan_campaign(const CampaignConfig& cfg) {
 CampaignReport run_campaign(const CampaignConfig& cfg) {
   const auto campaign_start = Clock::now();
   const std::vector<CellPlan> plan = [&cfg] {
-    obs::SpanCollector::Scope span{cfg.spans, "plan", "service",
-                                   cfg.spans_parent};
+    obs::SpanCollector::Scope span{cfg.spans, "plan", "service"};
     return plan_campaign(cfg);
   }();
   const std::size_t num_seeds = cfg.seeds.size();
@@ -197,9 +196,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
         // fails to decode is treated exactly like a miss: recompute, then
         // re-store over the bad bytes — but counted as corrupt.
         if (cfg.cells != nullptr) {
-          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell",
-                                          cfg.spans_parent};
-          probe.set_track(1 + static_cast<int>(cell.slot));
+          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell"};
           if (const auto bytes = cfg.cells->fetch(cell.key)) {
             if (decode_cell(*bytes, task.result)) {
               task.ok = true;
@@ -210,13 +207,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
           }
         }
         if (!task.cached) {
-          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell",
-                                            cfg.spans_parent};
-          compute.set_track(1 + static_cast<int>(cell.slot));
-          if (cfg.spans != nullptr) {
-            compute.set_args("\"spec\":" + std::to_string(cell.spec_index) +
-                             ",\"seed\":" + std::to_string(cell.seed));
-          }
+          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell"};
           try {
             auto spec = cfg.specs[cell.spec_index];
             spec.seed = task.derived_seed;
@@ -256,8 +247,7 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
 
   const auto aggregate_start = Clock::now();
   {
-    obs::SpanCollector::Scope span{cfg.spans, "aggregate", "service",
-                                   cfg.spans_parent};
+    obs::SpanCollector::Scope span{cfg.spans, "aggregate", "service"};
     report.specs.reserve(cfg.specs.size());
     for (std::size_t si = 0; si < cfg.specs.size(); ++si) {
       report.specs.push_back(

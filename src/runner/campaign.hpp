@@ -65,12 +65,11 @@ struct CampaignConfig {
   /// ("cancelled") without computing; in-flight cells finish normally and
   /// are still persisted to the store — a drained, partially-warm cache.
   const std::atomic<bool>* cancel{nullptr};
-  /// Request-trace sink (serve mode).  Null = no tracing.  When set, the
-  /// runner records plan / per-cell cache-probe / per-cell compute /
-  /// aggregate spans, parented under `spans_parent`.  Telemetry only —
-  /// attaching a collector never changes the report (guarded by test).
+  /// Run-trace sink.  Null = no tracing.  When set, the runner records
+  /// plan / per-cell cache-probe / per-cell compute / aggregate spans.
+  /// Telemetry only — attaching a collector never changes the report
+  /// (guarded by test).
   obs::SpanCollector* spans{nullptr};
-  std::uint64_t spans_parent{0};
 };
 
 /// One planned grid cell: the task identity plus its content-addressed

@@ -68,14 +68,6 @@ void print_progress(std::size_t done, std::size_t total) {
   std::fflush(stderr);
 }
 
-std::function<void(std::size_t, std::size_t)> log_progress(obs::Log& log) {
-  return [&log](std::size_t done, std::size_t total) {
-    if (!log.enabled(obs::LogLevel::Debug)) return;
-    log.debug("progress", "\"done\":" + std::to_string(done) +
-                              ",\"total\":" + std::to_string(total));
-  };
-}
-
 std::string usage_text(std::string_view prog,
                        const std::vector<Subcommand>& table) {
   std::ostringstream os;

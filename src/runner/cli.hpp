@@ -29,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/log.hpp"
 #include "runner/campaign.hpp"
 
 namespace mcan::runner {
@@ -57,14 +56,6 @@ struct CliOptions {
 /// A progress sink for CliOptions::progress: rewrites one stderr line as
 /// "  [done/total] campaign ...".
 void print_progress(std::size_t done, std::size_t total);
-
-/// Structured-log progress sink: one debug-level {"event":"progress",
-/// "done":N,"total":M} JSONL line per finished task, throttled to nothing
-/// when the logger's level filter is above Debug.  The serve daemon wires
-/// this in so long campaigns are observable from the log alone; `log` must
-/// outlive the returned closure.
-[[nodiscard]] std::function<void(std::size_t, std::size_t)> log_progress(
-    obs::Log& log);
 
 /// One row of a driver's subcommand table.
 struct Subcommand {

@@ -68,7 +68,6 @@ CampaignConfig fault_sweep_campaign(const FaultSweepConfig& cfg) {
   campaign.cells = cfg.cells;
   campaign.cancel = cfg.cancel;
   campaign.spans = cfg.spans;
-  campaign.spans_parent = cfg.spans_parent;
   campaign.specs.reserve(cfg.base_specs.size() * cfg.bers.size());
   for (const auto& base : cfg.base_specs) {
     for (const double ber : cfg.bers) {

@@ -40,9 +40,8 @@ struct FaultSweepConfig {
   /// cells are content-addressed exactly like plain campaign cells.
   CellStore* cells{nullptr};
   const std::atomic<bool>* cancel{nullptr};
-  /// Request-trace sink (see CampaignConfig::spans) — telemetry only.
+  /// Run-trace sink (see CampaignConfig::spans) — telemetry only.
   obs::SpanCollector* spans{nullptr};
-  std::uint64_t spans_parent{0};
 };
 
 /// One (scenario, BER) cell, distilled from the campaign aggregate.

@@ -79,9 +79,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
         key.spec_hash = fuzz_hash;
         key.seed = cell.derived_seed;
         if (cfg.cells != nullptr) {
-          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell",
-                                          cfg.spans_parent};
-          probe.set_track(1 + static_cast<int>(index));
+          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell"};
           if (const auto bytes = cfg.cells->fetch(key)) {
             if (decode_fuzz_cell(*bytes, cell)) {
               cell.cached = true;
@@ -91,9 +89,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
           }
         }
         if (!cell.cached) {
-          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell",
-                                            cfg.spans_parent};
-          compute.set_track(1 + static_cast<int>(index));
+          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell"};
           try {
             const auto c = conformance::generate_case(cell.derived_seed);
             cell.kind = c.kind;
@@ -140,8 +136,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   }
 
   // Shrink serially, in index order: deterministic regardless of jobs.
-  obs::SpanCollector::Scope shrink_span{cfg.spans, "shrink", "service",
-                                        cfg.spans_parent};
+  obs::SpanCollector::Scope shrink_span{cfg.spans, "shrink", "service"};
   for (const auto& cell : report.cells) {
     if (!cell.diverged) continue;
     FuzzDivergence div;

@@ -64,9 +64,8 @@ struct FuzzConfig {
   CellStore* cells{nullptr};
   /// Graceful-cancellation flag (see CampaignConfig::cancel).
   const std::atomic<bool>* cancel{nullptr};
-  /// Request-trace sink (see CampaignConfig::spans) — telemetry only.
+  /// Run-trace sink (see CampaignConfig::spans) — telemetry only.
   obs::SpanCollector* spans{nullptr};
-  std::uint64_t spans_parent{0};
 };
 
 /// Outcome of one fuzz case.

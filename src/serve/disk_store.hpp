@@ -1,4 +1,8 @@
-// On-disk content-addressed cell cache backing `michican_cli serve`.
+// On-disk content-addressed cell cache backing the `--cache-dir` flag of
+// `michican_cli campaign`, `fault-sweep` and `fuzz`.  Every finished cell
+// is stored as it completes, so a re-run against the same directory —
+// after a clean exit or a kill — replays those cells and computes only the
+// rest.
 //
 // Layout: one file per cell under the cache directory, named "<key id>.cell"
 // (the CellKey::id() content address — spec hash, derived seed, engine

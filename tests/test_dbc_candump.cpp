@@ -55,6 +55,30 @@ TEST(Dbc, MalformedLinesThrow) {
       std::runtime_error);
 }
 
+TEST(Dbc, MalformedNumericFieldsThrowParseErrors) {
+  // Every numeric field is parsed whole: trailing garbage, an empty field
+  // or a lone sign is the parser's own runtime_error, never a prefix value
+  // or an escaped std::invalid_argument.
+  const char* bad[] = {
+      "BO_ 5 X: 8x E\n",
+      "BO_ 5x X: 8 E\n",
+      "BO_ 5 X: - E\n",
+      "BO_ - X: 8 E\n",
+      "BO_ 5 X: 8 E\nBA_ \"GenMsgCycleTime\" BO_ 5 1.5q;\n",
+      "BO_ 5 X: 8 E\nBA_ \"GenMsgCycleTime\" BO_ 5 ;\n",
+      "BO_ 5 X: 8 E\nBA_ \"GenMsgCycleTime\" BO_ 5 -;\n",
+      "BO_ 5 X: 8 E\nBA_ \"GenMsgCycleTime\" BO_ 5x 10;\n",
+      "BO_ 5 X: 8 E\nBA_ \"GenMsgCycleTime\" BO_ 5 10 junk\n",
+  };
+  for (const char* text : bad) {
+    EXPECT_THROW((void)parse_dbc(text), std::runtime_error) << text;
+  }
+  // The closing ';' may stand apart from the value.
+  const auto m = parse_dbc(
+      "BO_ 5 X: 8 E\nBA_ \"GenMsgCycleTime\" BO_ 5 12.5 ;\n");
+  EXPECT_DOUBLE_EQ(m.messages().at(0).period_ms, 12.5);
+}
+
 TEST(Dbc, RoundTripsVehicleMatrix) {
   const auto original = vehicle_matrix(Vehicle::B, 1);
   const auto parsed = parse_dbc(to_dbc(original), original.bus_name());

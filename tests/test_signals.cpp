@@ -174,6 +174,23 @@ TEST(Signals, MalformedSgLinesThrow) {
                std::runtime_error);
 }
 
+TEST(Signals, MalformedNumericFieldsThrowParseErrors) {
+  // Whole-field parsing: "8x", "1.5q", empty and "-" are the parser's own
+  // runtime_error, never a prefix value or an escaped invalid_argument.
+  const char* bad[] = {
+      "SG_ X : 0|8x@1+ (1,0)",       "SG_ X : 0x|8@1+ (1,0)",
+      "SG_ X : -|8@1+ (1,0)",        "SG_ X : |8@1+ (1,0)",
+      "SG_ X : 0|@1+ (1,0)",         "SG_ X : 0|8@1+ (1.5q,0)",
+      "SG_ X : 0|8@1+ (1,1.5q)",     "SG_ X : 0|8@1+ (-,0)",
+      "SG_ X : 0|8@1+ (,00)",        "SG_ X : 0|8@1+ (1,-)",
+      "SG_ X : 0|8@1+ (1,0) [0|1.5q]", "SG_ X : 0|8@1+ (1,0) [|1]",
+      "SG_ X : 0|8@1+ (1,0) [-|1]",
+  };
+  for (const char* line : bad) {
+    EXPECT_THROW((void)parse_sg_line(line), std::runtime_error) << line;
+  }
+}
+
 TEST(Signals, SgLineRoundTrips) {
   auto sig = make_sig("Speed", 8, 13, ByteOrder::Intel, false, 0.01);
   sig.max = 81.91;
