@@ -474,8 +474,14 @@ void BitController::handle_transmit_bit(BitLevel bus) {
       return;
     }
   } else if (bus != sent.level) {
-    // On a wired-AND bus a driven dominant level cannot read back recessive.
-    assert(sim::is_dominant(bus) && sim::is_recessive(sent.level));
+    if (sim::is_recessive(bus)) {
+      // A driven dominant bit read back recessive.  No other node can cause
+      // that on a wired-AND bus — only a disturbance (a FaultInjector flip)
+      // can — so it is a bit error in every field, arbitration included:
+      // ISO 11898-1 exempts only a recessive bit monitored dominant there.
+      begin_error(true, ErrorType::Bit, /*tec_exception=*/false);
+      return;
+    }
     const bool ext = txq_.front().extended;
     if (in_arbitration(sent.unstuffed_pos, ext) && !sent.is_stuff) {
       lose_arbitration(bus);

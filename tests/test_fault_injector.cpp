@@ -123,6 +123,39 @@ TEST(FaultInjector, ScheduledFlipDestroysTargetedFrame) {
   EXPECT_EQ(env.tx.stats().frames_sent, 1u);
 }
 
+TEST(FaultInjector, FlippedDominantIdBitIsABitErrorNotLostArbitration) {
+  FaultyBus env;
+  FaultSpec fs;
+  // ID 0x155 = 001 0101 0101 starts with two dominant ID bits, and the
+  // flip lands on one of them: the lone transmitter drives dominant and
+  // reads back recessive.  No rival can make a dominant bit recessive, so
+  // ISO 11898-1 counts this as a bit error (TEC += 8), not lost
+  // arbitration.
+  fs.flips.push_back({0, Field::Id, 0});
+  FaultInjector inj{fs, 0};
+  env.bus.set_fault_injector(&inj);
+  env.tx.enqueue(CanFrame::make(0x155, {0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA,
+                                        0xAA, 0xAA}));
+  env.bus.run(400);
+
+  ASSERT_EQ(inj.stats().scheduled_flips, 1u);
+  for (const auto& e : env.bus.log().events()) {
+    if (e.kind == EventKind::FaultInjected) {
+      EXPECT_EQ(e.b, static_cast<std::int64_t>(BitLevel::Recessive));
+    }
+    if (e.kind == EventKind::TxError) {
+      EXPECT_EQ(e.a, static_cast<std::int64_t>(ErrorType::Bit));
+    }
+  }
+  EXPECT_EQ(env.bus.log().count(EventKind::ArbitrationLost, "tx"), 0u);
+  EXPECT_EQ(env.bus.log().count(EventKind::TxError, "tx"), 1u);
+  EXPECT_EQ(env.tx.stats().arbitration_losses, 0u);
+  // +8 for the bit error, -1 for the retransmission that then succeeds.
+  EXPECT_EQ(env.tx.tec(), 7);
+  EXPECT_EQ(env.tx.stats().frames_sent, 1u);
+  EXPECT_EQ(env.received, 1u);
+}
+
 TEST(FaultInjector, StuckDominantChargesTransmitterPerIso10111) {
   FaultyBus env;
   FaultSpec fs;
