@@ -9,18 +9,16 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "restbus/parse_number.hpp"
+
 namespace mcan::restbus {
 
 namespace {
 
-// Locale-independent numeric parsing: std::stod/std::stoul honor LC_NUMERIC
-// (a comma-decimal locale mis-parses "1436509052.249713"), std::from_chars
-// never does.  Both reject stray sign/whitespace and require the whole
-// field to be consumed.
+// Locale-independent numeric parsing (restbus/parse_number.hpp): a
+// comma-decimal locale would make std::stod mis-parse "1436509052.249713".
 bool parse_seconds(std::string_view s, double& out) {
-  const auto* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, out);
-  return ec == std::errc{} && ptr == end && out >= 0.0;
+  return parse_number(s, out) && out >= 0.0;
 }
 
 bool parse_hex(std::string_view s, std::uint32_t& out) {
@@ -211,11 +209,7 @@ std::vector<CandumpEntry> parse_csv_trace(std::string_view text) {
       fail("bad identifier");
     }
     std::uint32_t dlc = 0;
-    {
-      const auto* end = fields[2].data() + fields[2].size();
-      auto [ptr, ec] = std::from_chars(fields[2].data(), end, dlc, 10);
-      if (ec != std::errc{} || ptr != end || dlc > 8) fail("bad dlc");
-    }
+    if (!parse_number(fields[2], dlc) || dlc > 8) fail("bad dlc");
     if (!parse_data_field(fields[3], e.frame)) fail("bad data field");
     if (!e.frame.rtr && e.frame.dlc != dlc) fail("dlc/data length mismatch");
     e.frame.dlc = static_cast<std::uint8_t>(dlc);
