@@ -147,11 +147,11 @@ std::unique_ptr<serve::DiskStore> open_cell_cache(const CellRunFlags& cf) {
   return std::make_unique<serve::DiskStore>(cf.cache_dir);
 }
 
-void print_cache_line(const serve::DiskStore* cache, std::uint64_t hits,
-                      std::uint64_t misses, std::uint64_t corrupt) {
-  if (cache == nullptr) return;
-  std::cout << "cache: " << hits << " hits, " << misses << " misses, "
-            << corrupt << " corrupt\n";
+/// The `cache: H hits, M misses, C corrupt` line of a run with a store.
+void print_cache_line(const runner::CellRunStats& run) {
+  if (!run.cache_enabled) return;
+  std::cout << "cache: " << run.cache_hits << " hits, " << run.cache_misses
+            << " misses, " << run.cache_corrupt << " corrupt\n";
 }
 
 int cmd_experiment(const runner::CliOptions& opts,
@@ -274,8 +274,7 @@ int cmd_campaign(const runner::CliOptions& opts,
                          std::to_string(rep.seeds.end) + "), jobs=" +
                          std::to_string(rep.jobs_used) + ", " +
                          fmt(rep.wall_ms, 0) + " ms wall:");
-  print_cache_line(cache.get(), rep.cache_hits, rep.cache_misses,
-                   rep.cache_corrupt);
+  print_cache_line(rep);
 
   runner::JsonOptions jopts;
   jopts.include_runtime = cf.runtime_block;
@@ -330,8 +329,7 @@ int cmd_fault_sweep(const runner::CliOptions& opts,
             << rep.campaign.jobs_used << ", " << fmt(rep.campaign.wall_ms, 0)
             << " ms wall:\n"
             << runner::format_table(rep);
-  print_cache_line(cache.get(), rep.campaign.cache_hits,
-                   rep.campaign.cache_misses, rep.campaign.cache_corrupt);
+  print_cache_line(rep.campaign);
 
   runner::JsonOptions jopts;
   jopts.include_runtime = cf.runtime_block;
@@ -378,8 +376,7 @@ int cmd_fuzz(const runner::CliOptions& opts,
   const auto rep = runner::run_fuzz(cfg);
 
   std::cout << runner::format_summary(rep);
-  print_cache_line(cache.get(), rep.cache_hits, rep.cache_misses,
-                   rep.cache_corrupt);
+  print_cache_line(rep);
 
   runner::JsonOptions jopts;
   jopts.include_runtime = cf.runtime_block;

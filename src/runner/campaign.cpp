@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
+#include <string_view>
 
 #include "attack/profiles.hpp"
 #include "runner/cell_codec.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/rng.hpp"
 
 namespace mcan::runner {
@@ -168,82 +167,41 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
   CampaignReport report;
   report.base_seed = cfg.base_seed;
   report.seeds = cfg.seeds;
-  report.cache_enabled = cfg.cells != nullptr;
+  // The plan is laid out in slot order, so plan[i] is the cell of tasks[i].
   report.tasks.resize(plan.size());
-
-  std::mutex progress_mu;
-  std::size_t done = 0;
-  const std::size_t total = report.tasks.size();
-
-  ThreadPool pool{cfg.jobs == 0 ? 0u : cfg.jobs};
-  report.jobs_used = pool.jobs();
-
   for (const CellPlan& cell : plan) {
-    pool.submit([&, cell] {
-      auto& task = report.tasks[cell.slot];
-      task.spec_index = cell.spec_index;
-      task.seed = cell.seed;
-      task.derived_seed = cell.derived_seed;
-      const auto task_start = Clock::now();
-      if (cfg.cancel != nullptr &&
-          cfg.cancel->load(std::memory_order_relaxed)) {
-        // Drain: cells that have not started are skipped; cells already
-        // running on other workers finish (and persist) normally.
-        task.ok = false;
-        task.error = "cancelled";
-      } else {
-        // Fetch-or-compute through the cell store.  A fetched entry that
-        // fails to decode is treated exactly like a miss: recompute, then
-        // re-store over the bad bytes — but counted as corrupt.
-        if (cfg.cells != nullptr) {
-          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell"};
-          if (const auto bytes = cfg.cells->fetch(cell.key)) {
-            if (decode_cell(*bytes, task.result)) {
-              task.ok = true;
-              task.cached = true;
-            } else {
-              task.cache_corrupt = true;
-            }
-          }
-        }
-        if (!task.cached) {
-          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell"};
-          try {
-            auto spec = cfg.specs[cell.spec_index];
-            spec.seed = task.derived_seed;
-            analysis::validate(spec);
-            task.result = analysis::run_experiment(spec);
-            task.ok = true;
-          } catch (const std::exception& e) {
-            task.ok = false;
-            task.error = e.what();
-          } catch (...) {
-            task.ok = false;
-            task.error = "unknown exception";
-          }
-          if (task.ok && cfg.cells != nullptr) {
-            cfg.cells->store(cell.key, encode_cell(task.result));
-          }
-        }
-      }
-      task.wall_ms = elapsed_ms(task_start);
-      std::lock_guard<std::mutex> lock{progress_mu};
-      ++done;
-      if (cfg.progress) cfg.progress(done, total);
-    });
+    auto& task = report.tasks[cell.slot];
+    task.spec_index = cell.spec_index;
+    task.seed = cell.seed;
+    task.derived_seed = cell.derived_seed;
   }
-  pool.wait_idle();
 
-  for (const auto& task : report.tasks) {
-    if (task.cached) {
-      ++report.cache_hits;
-    } else if (task.error == "cancelled") {
-      ++report.cells_cancelled;
-    } else if (report.cache_enabled) {
-      ++report.cache_misses;
-    }
-    if (task.cache_corrupt) ++report.cache_corrupt;
-  }
+  auto& tasks = report.tasks;
+  run_cells(
+      cfg, tasks, report,
+      [&plan](std::size_t i) -> const CellKey& { return plan[i].key; },
+      [&tasks](std::size_t i, std::string_view bytes) {
+        tasks[i].ok = decode_cell(bytes, tasks[i].result);
+        return tasks[i].ok;
+      },
+      [&tasks, &cfg](std::size_t i) {
+        auto& task = tasks[i];
+        try {
+          auto spec = cfg.specs[task.spec_index];
+          spec.seed = task.derived_seed;
+          analysis::validate(spec);
+          task.result = analysis::run_experiment(spec);
+          task.ok = true;
+        } catch (const std::exception& e) {
+          task.ok = false;
+          task.error = e.what();
+        } catch (...) {
+          task.ok = false;
+          task.error = "unknown exception";
+        }
+        return task.ok;
+      },
+      [&tasks](std::size_t i) { return encode_cell(tasks[i].result); });
 
   const auto aggregate_start = Clock::now();
   {

@@ -1,5 +1,6 @@
 // Parallel experiment campaigns: a set of ExperimentSpecs × a seed range,
-// fanned out across a ThreadPool, aggregated into per-spec statistics.
+// fanned out by run_cells() (cell_run.hpp, the fetch-or-compute loop shared
+// with the fuzzer), aggregated into per-spec statistics.
 //
 // The paper's evaluation (Table II, Sec. V-B/V-C) is statistical — mean,
 // stddev and max of the bus-off time over repeated 2-second recordings.
@@ -15,19 +16,17 @@
 //     stateful generator), and
 //   * each task writes into a result slot indexed by (spec, seed), and the
 //     reduction walks slots in index order after the pool drains.
-// Only the `runtime` block of the JSON report (jobs, wall-clock) varies.
+// Only the `runtime` block of the JSON report (jobs, wall clock, cache
+// counters) varies.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "obs/trace_context.hpp"
-#include "runner/cell_store.hpp"
+#include "runner/cell_run.hpp"
 #include "sim/stats.hpp"
 
 namespace mcan::runner {
@@ -42,34 +41,11 @@ struct SeedRange {
   }
 };
 
-struct CampaignConfig {
+struct CampaignConfig : CellRunConfig {
   std::vector<analysis::ExperimentSpec> specs;
+  /// Seeds run per spec.  Cell (spec_index, seed) runs with
+  /// derive_seed(derive_seed(base_seed, spec_index), seed).
   SeedRange seeds{0, 32};
-  /// Root of the two-level seed split: spec_root = derive_seed(base_seed,
-  /// spec_index), task seed = derive_seed(spec_root, seed).
-  std::uint64_t base_seed{0x4D696368u};  // "Mich"
-  /// Worker threads; 0 = hardware concurrency.
-  unsigned jobs{1};
-  /// Optional progress sink, called serialized (under a lock) after every
-  /// finished task with (done, total).
-  std::function<void(std::size_t, std::size_t)> progress;
-  /// Result-cache seam (ARCHITECTURE.md §7).  Null = compute every cell
-  /// (the passthrough default; existing call sites keep working).  With a
-  /// store attached each planned cell is fetched by content address first
-  /// and only computed — then persisted — on a miss, so a warm rerun of an
-  /// unchanged grid is pure cache replay and byte-identical by
-  /// construction.  Not owned; must outlive run_campaign().
-  CellStore* cells{nullptr};
-  /// Graceful-cancellation flag (e.g. set from a SIGINT/SIGTERM handler).
-  /// Once it reads true, cells that have not started are marked failed
-  /// ("cancelled") without computing; in-flight cells finish normally and
-  /// are still persisted to the store — a drained, partially-warm cache.
-  const std::atomic<bool>* cancel{nullptr};
-  /// Run-trace sink.  Null = no tracing.  When set, the runner records
-  /// plan / per-cell cache-probe / per-cell compute / aggregate spans.
-  /// Telemetry only — attaching a collector never changes the report
-  /// (guarded by test).
-  obs::SpanCollector* spans{nullptr};
 };
 
 /// One planned grid cell: the task identity plus its content-addressed
@@ -101,9 +77,8 @@ struct TaskResult {
   /// Result replayed from the cell store instead of computed.  Runtime
   /// fact: the deterministic report section is identical either way.
   bool cached{false};
-  /// A fetched entry decoded as garbage and the cell was recomputed.  The
-  /// store already verified the payload hash, so this flags codec/version
-  /// skew rather than disk rot.  Runtime fact, like `cached`.
+  /// A fetched entry decoded as garbage and the cell was recomputed
+  /// (see CellRunStats::cache_corrupt).  Runtime fact, like `cached`.
   bool cache_corrupt{false};
 };
 
@@ -163,7 +138,9 @@ struct SpecAggregate {
   obs::Registry metrics;
 };
 
-struct CampaignReport {
+/// The runtime tallies (jobs, wall clock, cache hits/misses/corrupt) come
+/// from CellRunStats and stay out of the deterministic JSON section.
+struct CampaignReport : CellRunStats {
   std::uint64_t base_seed{};
   SeedRange seeds;
   std::vector<SpecAggregate> specs;
@@ -171,19 +148,6 @@ struct CampaignReport {
   /// (seed - seeds.begin).
   std::vector<TaskResult> tasks;
 
-  // Runtime facts (excluded from the deterministic JSON section).
-  unsigned jobs_used{};
-  double wall_ms{};
-  /// Cell-store outcome of this run (all zero without a store attached):
-  /// hits = cells replayed from the cache, misses = cells computed,
-  /// cancelled = cells skipped by a cancellation request.
-  bool cache_enabled{};
-  std::uint64_t cache_hits{};
-  std::uint64_t cache_misses{};
-  std::uint64_t cells_cancelled{};
-  /// Cells whose fetched bytes failed to decode and were recomputed (a
-  /// subset of cache_misses).
-  std::uint64_t cache_corrupt{};
   /// Self-profile: per-task phase timings summed over the grid plus the
   /// campaign-level aggregate pass.  Wall clocks — runtime info only.
   obs::Profiler profile;

@@ -23,14 +23,14 @@
 //   * engine       — kEngineVersion, bumped whenever simulation semantics
 //                    change; one bump invalidates every prior cell.
 //
-// CellStore is the narrow interface the runners talk through.  MemoryStore
-// is the in-process implementation (tests, single-run reuse);
-// serve::DiskStore persists cells across runs (hash-verified entries,
-// optional size-capped LRU) and backs `michican_cli ... --cache-dir`, so a
-// re-run against the same directory replays every finished cell — warm
-// replay and resume-after-kill are the same mechanism.  A null store
-// pointer in the runner configs means "compute every cell" — existing call
-// sites keep working unchanged.
+// CellStore is the narrow interface the runners talk through, and
+// run_cells() (cell_run.hpp) is its only caller: one fetch-or-compute loop
+// for campaign cells and fuzz cases alike.  MemoryStore is the in-process
+// implementation (tests, single-run reuse); serve::DiskStore persists
+// hash-verified cells across runs and backs `michican_cli ... --cache-dir`,
+// so a re-run against the same directory replays every finished cell —
+// warm replay and resume-after-kill are the same mechanism.  A null store
+// pointer in the runner configs means "compute every cell".
 #pragma once
 
 #include <cstddef>
@@ -99,7 +99,6 @@ class CellStore {
     std::uint64_t hits{};
     std::uint64_t misses{};
     std::uint64_t stores{};
-    std::uint64_t evictions{};
     /// Entries whose stored hash failed re-verification (or that could not
     /// be parsed).  Counted, discarded, recomputed — never fatal.
     std::uint64_t corrupt{};

@@ -61,13 +61,8 @@ CampaignConfig fault_sweep_campaign(const FaultSweepConfig& cfg) {
   }
 
   CampaignConfig campaign;
+  static_cast<CellRunConfig&>(campaign) = cfg;
   campaign.seeds = cfg.seeds;
-  campaign.base_seed = cfg.base_seed;
-  campaign.jobs = cfg.jobs;
-  campaign.progress = cfg.progress;
-  campaign.cells = cfg.cells;
-  campaign.cancel = cfg.cancel;
-  campaign.spans = cfg.spans;
   campaign.specs.reserve(cfg.base_specs.size() * cfg.bers.size());
   for (const auto& base : cfg.base_specs) {
     for (const double ber : cfg.bers) {

@@ -25,23 +25,16 @@
 
 namespace mcan::runner {
 
-struct FaultSweepConfig {
+/// The shared run fields (jobs, progress, cell store, spans, base seed)
+/// pass to the expanded campaign unchanged, so a sweep's (scenario, BER)
+/// cells are content-addressed exactly like plain campaign cells.
+struct FaultSweepConfig : CellRunConfig {
   /// Attacker scenarios; each is swept across every BER.
   std::vector<analysis::ExperimentSpec> base_specs;
   /// Bit-error rates; include 0 to anchor the clean-bus baseline (the
   /// degradation deltas are computed against it).
   std::vector<double> bers{0.0, 1e-5, 1e-4, 1e-3};
   SeedRange seeds{0, 8};
-  std::uint64_t base_seed{0x4D696368u};  // "Mich"
-  unsigned jobs{1};
-  std::function<void(std::size_t, std::size_t)> progress;
-  /// Cell-store seam and cancellation flag, forwarded verbatim to the
-  /// expanded campaign (see CampaignConfig) — a sweep's (scenario, BER)
-  /// cells are content-addressed exactly like plain campaign cells.
-  CellStore* cells{nullptr};
-  const std::atomic<bool>* cancel{nullptr};
-  /// Run-trace sink (see CampaignConfig::spans) — telemetry only.
-  obs::SpanCollector* spans{nullptr};
 };
 
 /// One (scenario, BER) cell, distilled from the campaign aggregate.

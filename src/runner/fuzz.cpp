@@ -1,15 +1,14 @@
 #include "runner/fuzz.hpp"
 
 #include <chrono>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "conformance/generator.hpp"
 #include "obs/jsonfmt.hpp"
 #include "runner/cell_codec.hpp"
 #include "runner/schemas.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/rng.hpp"
 
 namespace mcan::runner {
@@ -49,83 +48,48 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   report.base_seed = cfg.base_seed;
   report.seeds = cfg.seeds;
   report.cases = cfg.cases;
-  report.cache_enabled = cfg.cells != nullptr;
   report.cells.resize(cfg.cases);
-
-  // Plan the cell set up front: identity and content-addressed cache key
-  // per case, before any work starts (same shape as plan_campaign()).
-  const std::uint64_t fuzz_hash = fuzz_cell_fingerprint();
+  auto& cells = report.cells;
   for (std::size_t index = 0; index < cfg.cases; ++index) {
-    auto& cell = report.cells[index];
+    auto& cell = cells[index];
     cell.index = index;
     cell.stream = cfg.seeds.begin + index % cfg.seeds.size();
     cell.derived_seed = case_seed(cfg.base_seed, cfg.seeds, index);
   }
 
-  std::mutex progress_mu;
-  std::size_t done = 0;
-
-  ThreadPool pool{cfg.jobs == 0 ? 0u : cfg.jobs};
-  report.jobs_used = pool.jobs();
-
-  for (std::size_t index = 0; index < cfg.cases; ++index) {
-    pool.submit([&, index, fuzz_hash] {
-      auto& cell = report.cells[index];
-      if (cfg.cancel != nullptr &&
-          cfg.cancel->load(std::memory_order_relaxed)) {
-        cell.cancelled = true;
-      } else {
+  const std::uint64_t fuzz_hash = fuzz_cell_fingerprint();
+  run_cells(
+      cfg, cells, report,
+      [&cells, fuzz_hash](std::size_t i) {
         CellKey key;
         key.spec_hash = fuzz_hash;
-        key.seed = cell.derived_seed;
-        if (cfg.cells != nullptr) {
-          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell"};
-          if (const auto bytes = cfg.cells->fetch(key)) {
-            if (decode_fuzz_cell(*bytes, cell)) {
-              cell.cached = true;
-            } else {
-              cell.cache_corrupt = true;
-            }
-          }
+        key.seed = cells[i].derived_seed;
+        return key;
+      },
+      [&cells](std::size_t i, std::string_view bytes) {
+        return decode_fuzz_cell(bytes, cells[i]);
+      },
+      [&cells](std::size_t i) {
+        auto& cell = cells[i];
+        try {
+          const auto c = conformance::generate_case(cell.derived_seed);
+          cell.kind = c.kind;
+          auto out = conformance::run_case(c);
+          cell.diverged = out.diverged;
+          cell.divergence = std::move(out.divergence);
+          cell.stats = out.stats;
+        } catch (const std::exception& e) {
+          cell.diverged = true;
+          cell.divergence = std::string{"exception: "} + e.what();
+        } catch (...) {
+          cell.diverged = true;
+          cell.divergence = "unknown exception";
         }
-        if (!cell.cached) {
-          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell"};
-          try {
-            const auto c = conformance::generate_case(cell.derived_seed);
-            cell.kind = c.kind;
-            auto out = conformance::run_case(c);
-            cell.diverged = out.diverged;
-            cell.divergence = std::move(out.divergence);
-            cell.stats = out.stats;
-          } catch (const std::exception& e) {
-            cell.diverged = true;
-            cell.divergence = std::string{"exception: "} + e.what();
-          } catch (...) {
-            cell.diverged = true;
-            cell.divergence = "unknown exception";
-          }
-          if (cfg.cells != nullptr) {
-            cfg.cells->store(key, encode_fuzz_cell(cell));
-          }
-        }
-      }
-      std::lock_guard<std::mutex> lock{progress_mu};
-      ++done;
-      if (cfg.progress) cfg.progress(done, cfg.cases);
-    });
-  }
-  pool.wait_idle();
+        return true;
+      },
+      [&cells](std::size_t i) { return encode_fuzz_cell(cells[i]); });
 
-  for (const auto& cell : report.cells) {
-    if (cell.cache_corrupt) ++report.cache_corrupt;
-    if (cell.cached) {
-      ++report.cache_hits;
-    } else if (cell.cancelled) {
-      ++report.cells_cancelled;
-      continue;
-    } else if (report.cache_enabled) {
-      ++report.cache_misses;
-    }
+  for (const auto& cell : cells) {
     report.kind_counts[static_cast<std::size_t>(cell.kind)] += 1;
     report.oracle_checked += cell.stats.oracle_checked ? 1 : 0;
     report.collision_skips += cell.stats.collision_skip ? 1 : 0;
@@ -166,7 +130,6 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
 }
 
 std::string to_json(const FuzzReport& report, JsonOptions opts) {
-  using obs::fmt_double;
   using obs::json_escape;
   std::ostringstream os;
   os << "{\"schema\":\"" << kFuzzSchema << "\",\"base_seed\":" << report.base_seed
@@ -199,14 +162,9 @@ std::string to_json(const FuzzReport& report, JsonOptions opts) {
   }
   os << "]";
   if (opts.include_runtime) {
-    os << ",\"runtime\":{\"jobs\":" << report.jobs_used
-       << ",\"wall_ms\":" << fmt_double(report.wall_ms)
-       << ",\"cache\":{\"enabled\":"
-       << (report.cache_enabled ? "true" : "false")
-       << ",\"hits\":" << report.cache_hits
-       << ",\"misses\":" << report.cache_misses
-       << ",\"cancelled\":" << report.cells_cancelled
-       << ",\"corrupt\":" << report.cache_corrupt << "}}";
+    os << ",\"runtime\":{";
+    put_run_stats(os, report);
+    os << "}";
   }
   os << "}\n";
   return os.str();

@@ -11,6 +11,12 @@
 // slot-indexed storage and shrinking runs serially in index order, so the
 // michican.fuzz.v1 report is byte-identical for any `jobs` value.
 //
+// Cases run through run_cells() (cell_run.hpp), the same fetch-or-compute
+// loop as campaign cells: with a store attached each case's outcome is
+// content-addressed by (fuzz domain tag, derived seed, engine version) and
+// replayed on a warm rerun.  Shrinking always recomputes — divergences are
+// rare and the repro artifacts must come from a live run.
+//
 // Schema "michican.fuzz.v1":
 //   {
 //     "schema": "michican.fuzz.v1",
@@ -25,13 +31,14 @@
 //                                 "frames": <n>, "divergence": <str>},
 //                      "case": {original fuzz_repro JSON},
 //                      "minimized": {minimized fuzz_repro JSON}}],
-//     "runtime": {"jobs": <n>, "wall_ms": <f>}       // include_runtime only
+//     "runtime": {"jobs": <n>, "wall_ms": <f>,      // include_runtime only
+//                 "cache": {"enabled": <bool>, "hits": <n>, "misses": <n>,
+//                           "corrupt": <n>}}
 //   }
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,29 +50,15 @@
 
 namespace mcan::runner {
 
-struct FuzzConfig {
+struct FuzzConfig : CellRunConfig {
   /// Total cases across all streams (NOT multiplied by the seed range).
   std::size_t cases{500};
   /// Seed streams the cases are spread over round-robin; re-running with a
   /// different range explores a disjoint case population.
   SeedRange seeds{0, 8};
-  std::uint64_t base_seed{0x4D696368u};  // "Mich"
-  unsigned jobs{1};
   /// Minimize diverging cases (serial, deterministic).  Off = raw cases.
   bool shrink{true};
   int max_shrink_tries{600};
-  /// Serialized progress sink, called after every finished case.
-  std::function<void(std::size_t, std::size_t)> progress;
-  /// Result-cache seam (see CampaignConfig::cells): each case's outcome is
-  /// content-addressed by (fuzz domain tag, derived seed, engine version)
-  /// and replayed on a warm rerun instead of re-simulating.  Shrinking of
-  /// diverging cases always recomputes — divergences are rare and the
-  /// repro artifacts must come from a live run.
-  CellStore* cells{nullptr};
-  /// Graceful-cancellation flag (see CampaignConfig::cancel).
-  const std::atomic<bool>* cancel{nullptr};
-  /// Run-trace sink (see CampaignConfig::spans) — telemetry only.
-  obs::SpanCollector* spans{nullptr};
 };
 
 /// Outcome of one fuzz case.
@@ -83,8 +76,7 @@ struct FuzzCellResult {
   /// Fetched bytes failed to decode; the case was recomputed (runtime fact,
   /// never encoded into the cell codec).
   bool cache_corrupt{false};
-  /// Skipped by a cancellation request before it started.
-  bool cancelled{false};
+  double wall_ms{};  // per-case wall clock; runtime fact, like `cached`
 };
 
 /// A diverging case plus its minimized repro artifacts.
@@ -99,7 +91,9 @@ struct FuzzDivergence {
   std::string repro_test;  // to_cpp_test(shrunk.minimized, ...)
 };
 
-struct FuzzReport {
+/// The runtime tallies (jobs, wall clock, cache hits/misses/corrupt) come
+/// from CellRunStats and stay out of the deterministic JSON section.
+struct FuzzReport : CellRunStats {
   std::uint64_t base_seed{};
   SeedRange seeds{};
   std::size_t cases{};
@@ -112,15 +106,9 @@ struct FuzzReport {
   std::uint64_t arbitration_rounds{};
   std::vector<FuzzCellResult> cells;  // index order
   std::vector<FuzzDivergence> divergences;
-  // Runtime-only (never in the deterministic report section).
-  unsigned jobs_used{};
-  double wall_ms{};
-  bool cache_enabled{};
-  std::uint64_t cache_hits{};
-  std::uint64_t cache_misses{};
+  /// Always 0 (no run is cancelled); kept because the perfbench harness
+  /// (perfbench/workloads.cpp) still reads it.
   std::uint64_t cells_cancelled{};
-  /// Cases whose fetched bytes failed to decode and were recomputed.
-  std::uint64_t cache_corrupt{};
 };
 
 /// Run the fuzz campaign.  Throws std::invalid_argument on zero cases or an

@@ -90,6 +90,15 @@ void put_task(std::ostringstream& os, const TaskResult& task) {
 
 }  // namespace
 
+void put_run_stats(std::ostream& os, const CellRunStats& stats) {
+  os << "\"jobs\":" << stats.jobs_used
+     << ",\"wall_ms\":" << fmt_double(stats.wall_ms)
+     << ",\"cache\":{\"enabled\":" << (stats.cache_enabled ? "true" : "false")
+     << ",\"hits\":" << stats.cache_hits
+     << ",\"misses\":" << stats.cache_misses
+     << ",\"corrupt\":" << stats.cache_corrupt << "}";
+}
+
 std::string to_json(const CampaignReport& report, JsonOptions opts) {
   const auto serialize_start = std::chrono::steady_clock::now();
   std::ostringstream os;
@@ -100,15 +109,12 @@ std::string to_json(const CampaignReport& report, JsonOptions opts) {
     if (i != 0) os << ",";
     put_spec(os, report.specs[i]);
   }
-  os << "]";
-  if (opts.include_tasks) {
-    os << ",\"tasks\":[";
-    for (std::size_t i = 0; i < report.tasks.size(); ++i) {
-      if (i != 0) os << ",";
-      put_task(os, report.tasks[i]);
-    }
-    os << "]";
+  os << "],\"tasks\":[";
+  for (std::size_t i = 0; i < report.tasks.size(); ++i) {
+    if (i != 0) os << ",";
+    put_task(os, report.tasks[i]);
   }
+  os << "]";
   if (opts.include_runtime) {
     // Wall clock spent rendering the deterministic section above — the
     // "report serialization" phase of the self-profile.
@@ -121,15 +127,9 @@ std::string to_json(const CampaignReport& report, JsonOptions opts) {
     for (const auto& t : report.tasks) task_wall.push_back(t.wall_ms);
     const std::uint64_t bits = report.bits_simulated();
     const double sim_ms = report.profile.total_ms("task.sim");
-    os << ",\"runtime\":{\"jobs\":" << report.jobs_used
-       << ",\"wall_ms\":" << fmt_double(report.wall_ms)
-       << ",\"cache\":{\"enabled\":"
-       << (report.cache_enabled ? "true" : "false")
-       << ",\"hits\":" << report.cache_hits
-       << ",\"misses\":" << report.cache_misses
-       << ",\"cancelled\":" << report.cells_cancelled
-       << ",\"corrupt\":" << report.cache_corrupt
-       << "},\"task_wall_ms\":";
+    os << ",\"runtime\":{";
+    put_run_stats(os, report);
+    os << ",\"task_wall_ms\":";
     put_summary(os, sim::summarize(task_wall));
     os << ",\"perf\":{\"phases\":" << report.profile.to_json()
        << ",\"serialize_ms\":" << fmt_double(serialize_ms)

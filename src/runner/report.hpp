@@ -26,7 +26,7 @@
 //                "counterattacks": <n>}],
 //     "runtime": {"jobs": <n>, "wall_ms": <f>,
 //                 "cache": {"enabled": <bool>, "hits": <n>, "misses": <n>,
-//                           "cancelled": <n>},
+//                           "corrupt": <n>},
 //                 "task_wall_ms": {summary},
 //                 "perf": {"phases": {"<phase>": {"calls","ms"}, ...},
 //                          "serialize_ms": <f>, "bits_simulated": <u64>,
@@ -45,6 +45,7 @@
 // shortest-round-trip via std::to_chars, so equal doubles render equally.
 #pragma once
 
+#include <ostream>
 #include <string>
 
 #include "runner/campaign.hpp"
@@ -55,8 +56,6 @@ struct JsonOptions {
   /// Include the "runtime" object (jobs, wall clocks).  Off by default so
   /// reports are comparable across worker counts.
   bool include_runtime{false};
-  /// Include the per-task "tasks" array (one row per grid cell).
-  bool include_tasks{true};
   /// When > 0 (and include_runtime), emit the serial reference wall clock
   /// as "baseline_wall_ms" plus the derived "speedup" factor — how the
   /// bench drivers record their jobs=N vs jobs=1 comparison.
@@ -65,6 +64,10 @@ struct JsonOptions {
 
 [[nodiscard]] std::string to_json(const CampaignReport& report,
                                   JsonOptions opts = {});
+
+/// The runtime fields every cell run reports, as JSON members:
+/// "jobs":<n>,"wall_ms":<f>,"cache":{"enabled","hits","misses","corrupt"}.
+void put_run_stats(std::ostream& os, const CellRunStats& stats);
 
 /// Write to_json(report, opts) to `path`; returns false on I/O failure.
 bool write_json_file(const std::string& path, const CampaignReport& report,

@@ -20,13 +20,9 @@
 // reader can never observe a half-written entry and a crash mid-store
 // leaves at most a stray ".tmp" file (swept at startup).
 //
-// Eviction: size-capped LRU over payload bytes.  The store keeps an
-// in-memory recency index (monotonic sequence numbers, seeded from file
-// mtimes at startup so recency survives restarts approximately); when a
-// store() pushes the total over the cap, least-recently-used entries are
-// deleted until it fits — except the entry just stored, which is always
-// kept even if it alone exceeds the cap (evicting your own write would
-// livelock a cache smaller than one cell).
+// There is no size cap and no eviction: an entry stays until its key
+// changes (an engine-version bump makes every old file unreachable) or the
+// directory is removed.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +40,9 @@ namespace mcan::serve {
 class DiskStore final : public runner::CellStore {
  public:
   /// Opens (creating if needed) the cache directory and indexes existing
-  /// entries.  `cap_bytes` caps total *payload* bytes; 0 = unlimited.
-  /// Throws std::runtime_error if the directory cannot be created.
-  explicit DiskStore(std::filesystem::path dir, std::uint64_t cap_bytes = 0);
+  /// entries, sweeping stray temp files and torn entries.  Throws
+  /// std::runtime_error if the directory cannot be created.
+  explicit DiskStore(std::filesystem::path dir);
 
   [[nodiscard]] std::optional<std::string> fetch(
       const runner::CellKey& key) override;
@@ -56,25 +52,14 @@ class DiskStore final : public runner::CellStore {
   [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
 
  private:
-  struct Entry {
-    std::uint64_t bytes{};  // payload length
-    std::uint64_t seq{};    // recency: larger = more recently used
-  };
-
   [[nodiscard]] std::filesystem::path path_for(std::string_view id) const;
-  /// Drop one entry from disk and the index (lock held).
-  void drop(const std::string& id, std::uint64_t counted_as_corrupt);
-  /// Evict LRU entries until total payload fits the cap (lock held);
-  /// `keep` is never evicted.
-  void evict_to_cap(const std::string& keep);
+  /// Record `bytes` as the payload size of entry `id` (lock held).
+  void set_entry(const std::string& id, std::uint64_t bytes);
 
   std::filesystem::path dir_;
-  std::uint64_t cap_bytes_;
 
   mutable std::mutex mu_;
-  std::map<std::string, Entry> index_;  // key id -> entry
-  std::uint64_t total_bytes_{0};
-  std::uint64_t next_seq_{1};
+  std::map<std::string, std::uint64_t> index_;  // key id -> payload bytes
   Stats stats_;
 };
 

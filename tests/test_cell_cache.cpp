@@ -1,10 +1,9 @@
 // The CellStore seam: cache-key fingerprints, the cell codec, cold-vs-warm
-// byte identity through run_campaign()/run_fuzz(), resume of a cancelled
-// run from its DiskStore, and DiskStore pathologies (corruption, eviction,
+// byte identity through run_campaign()/run_fuzz(), resume from a partly
+// filled DiskStore, and DiskStore pathologies (corruption, torn files,
 // engine-version invalidation).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 
@@ -33,6 +32,15 @@ runner::CampaignConfig small_campaign(runner::CellStore* cells = nullptr) {
   runner::CampaignConfig cfg;
   cfg.specs = {small_spec()};
   cfg.seeds = {0, 3};
+  cfg.jobs = 2;
+  cfg.cells = cells;
+  return cfg;
+}
+
+runner::FuzzConfig small_fuzz(runner::CellStore* cells = nullptr) {
+  runner::FuzzConfig cfg;
+  cfg.cases = 24;
+  cfg.seeds = {0, 4};
   cfg.jobs = 2;
   cfg.cells = cells;
   return cfg;
@@ -181,47 +189,47 @@ TEST(CampaignCache, EngineVersionBumpInvalidatesEveryCell) {
   }
 }
 
-TEST(CampaignCache, PresetCancelFlagSkipsEveryCell) {
+/// Overwrite one cached cell with bytes that hash fine at the store layer
+/// but fail to decode: the runner must count it corrupt, recompute it, and
+/// still land on the identical report.  `key_of(cfg, cold)` names the cell.
+template <class Config, class Run, class KeyOf>
+void expect_decode_corrupt_entry_recomputed(Config cfg, Run run,
+                                            KeyOf key_of) {
   runner::MemoryStore store;
-  auto cfg = small_campaign(&store);
-  std::atomic<bool> cancel{true};
-  cfg.cancel = &cancel;
-  const auto rep = runner::run_campaign(cfg);
-  EXPECT_EQ(rep.cells_cancelled, rep.tasks.size());
-  EXPECT_EQ(store.stats().stores, 0u);
-  for (const auto& t : rep.tasks) {
-    EXPECT_FALSE(t.ok);
-    EXPECT_EQ(t.error, "cancelled");
-  }
+  cfg.cells = &store;
+  const auto cold = run(cfg);
+  EXPECT_EQ(cold.cache_corrupt, 0u);
+  store.store(key_of(cfg, cold), "not a cell payload");
+
+  const auto warm = run(cfg);
+  EXPECT_EQ(warm.cache_corrupt, 1u);
+  EXPECT_EQ(warm.cache_misses, 1u);  // the corrupt probe is a miss
+  EXPECT_EQ(warm.cache_hits, cold.cache_misses - 1);
+  EXPECT_EQ(runner::to_json(cold), runner::to_json(warm));
 }
 
 TEST(CampaignCache, DecodeCorruptEntryIsCountedAndRecomputed) {
-  runner::MemoryStore store;
-  auto cfg = small_campaign(&store);
-  const auto cold = runner::run_campaign(cfg);
-  EXPECT_EQ(cold.cache_corrupt, 0u);
+  expect_decode_corrupt_entry_recomputed(
+      small_campaign(), runner::run_campaign,
+      [](const runner::CampaignConfig& cfg, const runner::CampaignReport&) {
+        return runner::plan_campaign(cfg).front().key;
+      });
+}
 
-  // Overwrite one cached cell with bytes that hash fine at the store layer
-  // but fail to decode: the runner must count it corrupt, recompute, and
-  // still land on the identical report.
-  const auto cells = runner::plan_campaign(cfg);
-  ASSERT_FALSE(cells.empty());
-  store.store(cells[0].key, "not a cell payload");
-
-  const auto warm = runner::run_campaign(cfg);
-  EXPECT_EQ(warm.cache_corrupt, 1u);
-  EXPECT_EQ(warm.cache_misses, 1u);  // the corrupt probe is a miss
-  EXPECT_EQ(warm.cache_hits, warm.tasks.size() - 1);
-  EXPECT_EQ(runner::to_json(cold), runner::to_json(warm));
+TEST(FuzzCache, DecodeCorruptEntryIsCountedAndRecomputed) {
+  expect_decode_corrupt_entry_recomputed(
+      small_fuzz(), runner::run_fuzz,
+      [](const runner::FuzzConfig&, const runner::FuzzReport& cold) {
+        runner::CellKey key;
+        key.spec_hash = runner::fuzz_cell_fingerprint();
+        key.seed = cold.cells.front().derived_seed;
+        return key;
+      });
 }
 
 TEST(FuzzCache, WarmRerunIsByteIdenticalAndAllHits) {
   runner::MemoryStore store;
-  runner::FuzzConfig cfg;
-  cfg.cases = 24;
-  cfg.seeds = {0, 4};
-  cfg.jobs = 2;
-  cfg.cells = &store;
+  const auto cfg = small_fuzz(&store);
 
   const auto cold = runner::run_fuzz(cfg);
   EXPECT_EQ(cold.cache_misses, 24u);
@@ -290,41 +298,6 @@ TEST(DiskStore, FlippedPayloadByteIsCorruptNotFatal) {
   fs::remove_all(dir);
 }
 
-TEST(DiskStore, EvictsLeastRecentlyUsedUnderTinyCap) {
-  const auto dir = scratch_dir("evict");
-  serve::DiskStore store{dir, 250};  // fits two 100-byte payloads, not three
-  runner::CellKey a, b, c;
-  a.seed = 1;
-  b.seed = 2;
-  c.seed = 3;
-  store.store(a, std::string(100, 'a'));
-  store.store(b, std::string(100, 'b'));
-  EXPECT_TRUE(store.fetch(a).has_value());  // refresh a: b is now LRU
-  store.store(c, std::string(100, 'c'));
-
-  EXPECT_TRUE(store.fetch(a).has_value());
-  EXPECT_FALSE(store.fetch(b).has_value());  // evicted
-  EXPECT_TRUE(store.fetch(c).has_value());
-  const auto s = store.stats();
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_LE(s.bytes, 250u);
-  fs::remove_all(dir);
-}
-
-TEST(DiskStore, NeverEvictsTheEntryJustStored) {
-  const auto dir = scratch_dir("keepnew");
-  serve::DiskStore store{dir, 10};  // smaller than any single entry
-  runner::CellKey a, b;
-  a.seed = 1;
-  b.seed = 2;
-  store.store(a, std::string(64, 'a'));
-  store.store(b, std::string(64, 'b'));
-  EXPECT_FALSE(store.fetch(a).has_value());
-  EXPECT_TRUE(store.fetch(b).has_value());  // over cap, but kept
-  fs::remove_all(dir);
-}
-
 TEST(DiskStore, StartupSweepDropsAndCountsTornShortFiles) {
   const auto dir = scratch_dir("sweep");
   {
@@ -356,33 +329,27 @@ TEST(DiskStore, DrivesAWarmCampaignLikeMemoryStore) {
   fs::remove_all(dir);
 }
 
-TEST(CampaignCache, CancelledRunResumesToTheUncachedReport) {
+TEST(CampaignCache, PartlyFilledDiskStoreResumesToTheUncachedReport) {
   const auto dir = scratch_dir("resume");
   auto cfg = small_campaign();
   cfg.seeds = {0, 8};
   const auto uncached = runner::to_json(runner::run_campaign(cfg));
 
-  // First run: stop part-way, as a kill would.  Cells that finished (and
-  // any still in flight when the flag went up) are already on disk.
+  // First run: seeds 0..3 only, as a run killed part-way would leave the
+  // directory — every finished cell stored, nothing else.
   std::uint64_t stored = 0;
   {
     serve::DiskStore store{dir};
-    std::atomic<bool> cancel{false};
     auto first = cfg;
+    first.seeds = {0, 4};
     first.cells = &store;
-    first.cancel = &cancel;
-    first.progress = [&cancel](std::size_t done, std::size_t) {
-      if (done >= 3) cancel.store(true);
-    };
-    const auto rep = runner::run_campaign(first);
-    EXPECT_GT(rep.cells_cancelled, 0u);
+    (void)runner::run_campaign(first);
     stored = store.stats().stores;
-    EXPECT_GE(stored, 3u);
-    EXPECT_EQ(stored, rep.tasks.size() - rep.cells_cancelled);
+    EXPECT_EQ(stored, 4u);
   }
 
-  // Second run over the same directory: the stored cells replay, the rest
-  // compute, and the report is the one an uncached run writes.
+  // Second run over the reopened directory: the stored cells replay, the
+  // rest compute, and the report is the one an uncached run writes.
   serve::DiskStore store{dir};
   auto second = cfg;
   second.cells = &store;
