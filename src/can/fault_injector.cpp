@@ -89,9 +89,12 @@ sim::BitLevel FaultInjector::transform(sim::BitTime now, sim::BitLevel level,
     }
   } else {
     if (in_frame_ && !spec_.flips.empty()) {
+      // pos_ is still the previous bit's offset from SOF: track() advances
+      // it only after this bit.
+      const int pos = pos_ + 1;
       for (const auto& flip : spec_.flips) {
         if (flip.frame + 1 == frames_seen_ && flip.bit >= 0 &&
-            flip.field != Field::Sof && pos_ == flip.wire_position()) {
+            flip.field != Field::Sof && pos == flip.wire_position()) {
           out = sim::invert(out);
           ++stats_.scheduled_flips;
           if (log != nullptr) {

@@ -102,11 +102,46 @@ TEST(FaultInjector, RandomFlipRateMatchesBer) {
             env.bus.log().count(EventKind::FaultInjected));
 }
 
+TEST(FaultInjector, ScheduledFlipLandsOnItsWirePosition) {
+  // ID 0x555 alternates and DLC 8 follows with no stuff bit before the
+  // data field, so each target's raw wire offset from SOF is exact.
+  for (const ScheduledFlip flip : {ScheduledFlip{0, Field::Id, 0},
+                                   ScheduledFlip{0, Field::Id, 1},
+                                   ScheduledFlip{0, Field::Data, 2}}) {
+    SCOPED_TRACE(std::string{to_string(flip.field)} + "+" +
+                 std::to_string(flip.bit));
+    FaultyBus env;
+    FaultSpec fs;
+    fs.flips.push_back(flip);
+    FaultInjector inj{fs, 0};
+    env.bus.set_fault_injector(&inj);
+    env.tx.enqueue(CanFrame::make(0x555, {0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA,
+                                          0xAA, 0xAA}));
+    env.bus.run(400);
+
+    // The transmitter logs FrameTxStart one bit before its SOF is on the
+    // wire.
+    BitTime sof = 0;
+    bool started = false;
+    for (const auto& e : env.bus.log().events()) {
+      if (e.kind == EventKind::FrameTxStart && !started) {
+        sof = e.at + 1;
+        started = true;
+      }
+    }
+    ASSERT_TRUE(started);
+    const auto flips = fault_times(env.bus.log());
+    ASSERT_EQ(flips.size(), 1u);
+    EXPECT_EQ(flips[0], sof + static_cast<BitTime>(flip.wire_position()));
+  }
+}
+
 TEST(FaultInjector, ScheduledFlipDestroysTargetedFrame) {
   FaultyBus env;
   FaultSpec fs;
   // ID 0x555 alternates and DLC 8 follows with no stuff bit before the
-  // data field, so the raw wire position is exact: data bit 2.
+  // data field, so the raw wire position is exact: data bit 2, a dominant
+  // bit of the 0xAA payload read back recessive.
   fs.flips.push_back({0, Field::Data, 2});
   FaultInjector inj{fs, 0};
   env.bus.set_fault_injector(&inj);
