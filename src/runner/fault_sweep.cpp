@@ -30,9 +30,10 @@ FaultSweepRow distil_row(const SpecAggregate& agg, std::size_t scenario,
                  static_cast<double>(agg.attacker_frames));
     row.fn_rate = 1.0 - row.detection_rate;
   }
-  if (agg.attacks_detected > 0) {
+  const auto observed = agg.metrics.counter_value("monitor.frames_observed");
+  if (observed > agg.attacker_frames) {
     row.fp_rate = static_cast<double>(agg.false_detections) /
-                  static_cast<double>(agg.attacks_detected);
+                  static_cast<double>(observed - agg.attacker_frames);
   }
 
   row.busoff_ms = agg.busoff_ms;

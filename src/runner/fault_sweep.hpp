@@ -47,7 +47,9 @@ struct FaultSweepRow {
   double detection_rate{};
   /// 1 - detection_rate when the scenario has attack frames, else 0.
   double fn_rate{};
-  /// Share of the monitor's verdicts that flagged non-attacker IDs.
+  /// False detections over the benign frames the monitor observed (its
+  /// `monitor.frames_observed` counter minus attack frames); 0 when it saw
+  /// none.
   double fp_rate{};
 
   sim::Summary busoff_ms;  // pooled attacker bus-off cycles

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/experiments.hpp"
+#include "analysis/scenarios.hpp"
 #include "runner/fault_sweep.hpp"
 #include "runner/report.hpp"
 
@@ -66,6 +67,25 @@ TEST(FaultSweepProperty, SweepIsDeterministicAcrossWorkerCounts) {
   cfg.jobs = 4;
   const auto parallel = runner::run_fault_sweep(cfg);
   EXPECT_EQ(runner::to_json(serial), runner::to_json(parallel));
+}
+
+TEST(FaultSweepProperty, LoneFalseAlarmIsARateOverBenignFrames) {
+  // The error-frame stomper sends no frame of its own, so every alarm the
+  // monitor raises on its bus is false.  Over these seeds line noise causes
+  // exactly one, among thousands of benign frames observed: a small rate,
+  // not 100 % of the monitor's verdicts.
+  runner::FaultSweepConfig cfg;
+  cfg.base_specs = {analysis::ScenarioRegistry::built_in().make("ef")};
+  cfg.bers = {1e-4};
+  cfg.seeds = {0, 8};
+  cfg.jobs = 2;
+  const auto rep = runner::run_fault_sweep(cfg);
+  ASSERT_EQ(rep.rows.size(), 1u);
+  const auto& spec = rep.campaign.specs[0];
+  ASSERT_EQ(spec.attacks_detected, 1u);
+  ASSERT_EQ(spec.false_detections, 1u);
+  EXPECT_GT(rep.rows[0].fp_rate, 0.0);
+  EXPECT_LT(rep.rows[0].fp_rate, 0.01);
 }
 
 }  // namespace
