@@ -35,7 +35,7 @@ sim::BitTime Attacker::pump_next(sim::BitTime now) const {
   // Continuous flood: pump() only does work when the queue has run dry,
   // which can change solely on a stepped bit (a transmission completing or
   // bus-off clearing the queue) — the horizon is re-evaluated after those.
-  return ctrl_.queue_depth() == 0 ? can::kAlways : can::kNever;
+  return ctrl_.queue_empty() ? can::kAlways : can::kNever;
 }
 
 void Attacker::pump(sim::BitTime now) {
@@ -44,7 +44,7 @@ void Attacker::pump(sim::BitTime now) {
   if (cfg_.period_bits > 0.0) {
     if (static_cast<double>(now) < next_due_) return;
     next_due_ += cfg_.period_bits;
-  } else if (ctrl_.queue_depth() != 0) {
+  } else if (!ctrl_.queue_empty()) {
     return;  // continuous flood: top up only when the queue runs dry
   }
 

@@ -40,7 +40,7 @@ sim::BitTime FuzzAttacker::pump_next(sim::BitTime now) const {
     if (static_cast<double>(now) >= next_due_) return can::kAlways;
     return static_cast<sim::BitTime>(std::ceil(next_due_));
   }
-  return ctrl_.queue_depth() == 0 ? can::kAlways : can::kNever;
+  return ctrl_.queue_empty() ? can::kAlways : can::kNever;
 }
 
 void FuzzAttacker::pump(sim::BitTime now) {
@@ -49,7 +49,7 @@ void FuzzAttacker::pump(sim::BitTime now) {
   if (cfg_.period_bits > 0.0) {
     if (static_cast<double>(now) < next_due_) return;
     next_due_ += cfg_.period_bits;
-  } else if (ctrl_.queue_depth() != 0) {
+  } else if (!ctrl_.queue_empty()) {
     return;  // continuous fuzz: top up only when the queue runs dry
   }
 

@@ -40,7 +40,7 @@ void ParrotNode::pump(sim::BitTime now) {
     armed_ = false;
     return;
   }
-  if (ctrl_.queue_depth() != 0 || ctrl_.is_bus_off()) return;
+  if (!ctrl_.queue_empty() || ctrl_.is_bus_off()) return;
   can::CanFrame flood;
   flood.id = cfg_.own_id;
   flood.dlc = cfg_.dlc;  // payload stays all 0x00: wins every collision

@@ -4,22 +4,29 @@
 #include <stdexcept>
 #include <string>
 
+#include "can/controller.hpp"
 #include "can/fault_injector.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcan::can {
 namespace {
 
-/// The bus must have been recessive this long before a skip is attempted:
-/// an interframe space has elapsed, so every compliant controller is in
-/// Idle/Suspend/BusOff territory rather than mid-frame.
-constexpr sim::BitTime kMinIdleForSkip = 6;
-
 /// After a horizon probe fails (some node says kAlways), wait roughly one
 /// interframe-plus-SOF worth of bits before probing again.
 constexpr sim::BitTime kProbeBackoff = 11;
 
+/// A dominant run this long is an error or overload flag: the first
+/// recessive bit after it may start a recovery tail, so it is probed even
+/// inside a backoff.
+constexpr int kFlagRun = 6;
+
 }  // namespace
+
+void WiredAndBus::attach(CanNode& node) {
+  nodes_.push_back(&node);
+  plain_.push_back(dynamic_cast<BitController*>(&node));
+  parked_.push_back(0);
+}
 
 void WiredAndBus::export_metrics(obs::Registry& reg) const {
   reg.counter("bus.bits_simulated") += now_;
@@ -29,26 +36,32 @@ void WiredAndBus::export_metrics(obs::Registry& reg) const {
 }
 
 void WiredAndBus::step() {
-  for (auto* n : nodes_) n->tick(now_);
+  const std::size_t n = nodes_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (parked_[i] == 0 || plain_[i]->app_due(now_)) nodes_[i]->tick(now_);
+  }
 
   auto level = sim::BitLevel::Recessive;
-  for (auto* n : nodes_) level = sim::wired_and(level, n->tx_level());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (parked_[i] == 0) level = sim::wired_and(level, nodes_[i]->tx_level());
+  }
 
   if (injector_ != nullptr) level = injector_->transform(now_, level, &log_);
 
   trace_.sample(level);
   const auto previous = last_;
   last_ = level;
-  idle_run_ = sim::is_recessive(level) ? idle_run_ + 1 : 0;
 
   if (injector_ != nullptr && injector_->has_skew()) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       nodes_[i]->on_bus_bit(
           injector_->deliver(i, nodes_[i]->name(), level, previous, now_,
                              &log_));
     }
   } else {
-    for (auto* n : nodes_) n->on_bus_bit(level);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (parked_[i] == 0) nodes_[i]->on_bus_bit(level);
+    }
   }
   ++now_;
 }
@@ -95,25 +108,99 @@ void WiredAndBus::skip_to(sim::BitTime horizon) {
   if (injector_ != nullptr) injector_->on_idle_skip(count);
   trace_.sample_run(sim::BitLevel::Recessive, count);
   last_ = sim::BitLevel::Recessive;
-  idle_run_ += count;
   bits_skipped_ += count;
   now_ = horizon;
 }
 
+void WiredAndBus::park_members() {
+  for (const std::size_t m : members_) parked_[m] = 1;
+  members_parked_ = true;
+}
+
+void WiredAndBus::unpark_members() {
+  for (const std::size_t m : members_) {
+    plain_[m]->adopt_rx(*plain_[leader_]);
+    parked_[m] = 0;
+  }
+  members_parked_ = false;
+}
+
+void WiredAndBus::track_group(sim::BitLevel previous) {
+  if (!members_.empty()) {
+    // The members stepped this bit themselves from the leader's state, so
+    // they still match it unless the bit ended the shared decode.
+    if (!members_parked_) {
+      if (plain_[leader_]->rx_in_stuffed_region()) {
+        park_members();
+      } else {
+        members_.clear();
+      }
+    }
+    return;
+  }
+  // A SOF is a falling edge; with per-node sample skew every receiver may
+  // read a different level, so no group forms.
+  if (!sim::is_recessive(previous) || sim::is_recessive(last_) ||
+      (injector_ != nullptr && injector_->has_skew())) {
+    return;
+  }
+  bool have_leader = false;
+  for (std::size_t i = 0; i < plain_.size(); ++i) {
+    if (plain_[i] == nullptr || !plain_[i]->rx_at_sof()) continue;
+    if (have_leader) {
+      members_.push_back(i);
+    } else {
+      leader_ = i;
+      have_leader = true;
+    }
+  }
+  if (!members_.empty()) park_members();
+}
+
+// The quiescence tier does two things the naive per-bit loop does not.
+//
+// Skips: after a recessive bit, every node's next_activity() and the
+// injector's next_disturbance() bound a window of bits in which nothing
+// drives dominant, runs a hook or logs; the window is applied in one
+// on_idle_skip() per node.  Idle buses, bus-off recovery and the recessive
+// tail of every error frame (flag end, delimiter, intermission, suspend)
+// are skipped this way.
+//
+// Receiver groups: the plain controllers that took the same SOF share the
+// leader's decode while it cannot differ from theirs (see track_group);
+// step() leaves the parked members out.
 void WiredAndBus::run(sim::Bits bits) {
   const sim::BitTime end = sim::sat_add(now_, bits.value());
   while (now_ < end) {
-    if (fast_path_ && idle_run_ >= kMinIdleForSkip &&
-        now_ >= skip_retry_at_) {
+    if (fast_path_ && sim::is_recessive(last_) && now_ >= skip_retry_at_) {
       const sim::BitTime horizon = std::min(quiescent_horizon(), end);
       if (horizon > now_) {
         skip_to(horizon);
+        // Some node acts at the horizon bit itself: step it unprobed.
+        if (horizon < end) skip_retry_at_ = horizon + 1;
         continue;
       }
       skip_retry_at_ = now_ + kProbeBackoff;
     }
+    if (members_parked_) {
+      if (plain_[leader_]->rx_may_diverge()) {
+        unpark_members();
+      } else {
+        node_bits_parked_ += members_.size();
+      }
+    }
+    const auto previous = last_;
     step();
+    if (sim::is_recessive(last_)) {
+      dominant_run_ = 0;
+    } else if (++dominant_run_ == kFlagRun) {
+      skip_retry_at_ = 0;
+    }
+    if (fast_path_) track_group(previous);
   }
+  // Leave every node's state exact at the run() boundary.
+  if (members_parked_) unpark_members();
+  members_.clear();
 }
 
 }  // namespace mcan::can

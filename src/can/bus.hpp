@@ -22,6 +22,7 @@ class Registry;
 
 namespace mcan::can {
 
+class BitController;
 class FaultInjector;
 
 class WiredAndBus {
@@ -30,7 +31,7 @@ class WiredAndBus {
 
   /// Attach a node.  The bus does not own nodes; callers must keep them
   /// alive for the bus's lifetime.
-  void attach(CanNode& node) { nodes_.push_back(&node); }
+  void attach(CanNode& node);
 
   /// Install (or clear, with nullptr) a physical-layer fault injector.
   /// The bus does not own it; the caller keeps it alive while attached.
@@ -45,10 +46,11 @@ class WiredAndBus {
   void step();
 
   /// Advance `bits` bit times.  With the fast path enabled (default) the
-  /// loop consults every node's next_activity() whenever the bus has been
-  /// recessive long enough to be idle, and jumps now_ straight to the
-  /// quiescence horizon instead of stepping bit by bit.  Trace, event log,
-  /// metrics and node state are byte-identical either way.
+  /// loop consults every node's next_activity() after a recessive bit and
+  /// jumps now_ straight to the quiescence horizon instead of stepping bit
+  /// by bit, and it steps the plain receivers of one frame as one receiver
+  /// group.  Trace, event log, metrics and node state (at every run()
+  /// boundary) are byte-identical either way.
   void run(sim::Bits bits);
   void run(sim::BitTime bits) { run(sim::Bits{bits}); }
 
@@ -65,6 +67,13 @@ class WiredAndBus {
   /// deterministic metrics registry is identical with the fast path on/off.
   [[nodiscard]] std::uint64_t bits_skipped() const noexcept {
     return bits_skipped_;
+  }
+
+  /// Node-bits a receiver group spared: one per parked member per stepped
+  /// bit.  Runtime perf information, outside export_metrics() like
+  /// bits_skipped().
+  [[nodiscard]] std::uint64_t node_bits_parked() const noexcept {
+    return node_bits_parked_;
   }
 
   [[nodiscard]] sim::BitTime now() const noexcept { return now_; }
@@ -95,15 +104,36 @@ class WiredAndBus {
   /// any node is currently driving dominant (stale next_activity contract).
   void skip_to(sim::BitTime horizon);
 
+  /// Receiver groups, after the bit just stepped (`previous` = the level
+  /// before it): on a SOF, park every plain receiver that took it behind
+  /// the first one; after a bit the members stepped themselves, park them
+  /// again while the leader still decodes the stuffed region.
+  void track_group(sim::BitLevel previous);
+  void park_members();
+  /// Hand every parked member the leader's receive state and step it again.
+  void unpark_members();
+
   sim::BusSpeed speed_;
   std::vector<CanNode*> nodes_;
+  /// Per node: the node as a plain BitController (receiver-group eligible),
+  /// else nullptr; and 1 while it is a parked group member, which step()
+  /// neither asks for a level nor samples (nor ticks, unless a hook is due).
+  std::vector<BitController*> plain_;
+  std::vector<std::uint8_t> parked_;
+  /// The current receiver group: node indices of its members (the leader
+  /// excluded) and whether they are parked right now.
+  std::vector<std::size_t> members_;
+  std::size_t leader_{0};
+  bool members_parked_{false};
   FaultInjector* injector_{nullptr};
   sim::BitTime now_{0};
   sim::BitLevel last_{sim::BitLevel::Recessive};
   bool fast_path_{true};
   std::uint64_t bits_skipped_{0};
-  /// Consecutive recessive bits ending at now_ (tracks bus idle state).
-  sim::BitTime idle_run_{0};
+  std::uint64_t node_bits_parked_{0};
+  /// Consecutive dominant bits ending at now_: six or more is an error or
+  /// overload flag, after which a recovery tail may be skipped.
+  int dominant_run_{0};
   /// Cheap backoff: after a failed horizon probe, don't re-probe until here.
   sim::BitTime skip_retry_at_{0};
   sim::LogicAnalyzer trace_;

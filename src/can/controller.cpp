@@ -90,30 +90,28 @@ void BitController::tick(BitTime now) {
 }
 
 BitTime BitController::next_activity(BitTime now) const {
-  // Application hooks run every tick: a hook without a scheduling companion
-  // could enqueue at any bit, so it pins the controller to kAlways.
-  BitTime app_next = kNever;
-  if (apps_due_ > now) {
-    app_next = apps_due_;  // min cached due, maintained by tick()
-  } else {
-    for (const auto& app : apps_) {
-      if (!app.next) return kAlways;
-      const BitTime t = app.sticky ? app.cached_due : app.next(now);
-      if (t <= now) return kAlways;
-      app_next = std::min(app_next, t);
-    }
-  }
+  // The phase first: mid-frame and flag phases opt out at once, which keeps
+  // the bus's probes cheap while a frame is on the wire.
+  BitTime phase_next = kNever;
   switch (phase_) {
+    case Phase::Transmit:
+    case Phase::Receive:
+    case Phase::ActiveFlag:
+    case Phase::OverloadFlag:
+      return kAlways;
     case Phase::Idle:
-    case Phase::Integrating:
-    case Phase::Intermission:
-    case Phase::Suspend:
-      // A queued frame starts transmitting as soon as the current phase
-      // allows — give no quiescence promise rather than model exactly when.
+      // A queued frame starts transmitting on the next bit.
       if (!txq_.empty()) return kAlways;
-      return app_next;
+      break;
+    case Phase::Integrating:
+      // 11 - integrate_count_ recessive bits reach Idle; the bit after
+      // that starts a queued frame (FrameTxStart).
+      if (!txq_.empty()) {
+        phase_next = now + static_cast<BitTime>(11 - integrate_count_);
+      }
+      break;
     case Phase::BusOff: {
-      if (!cfg_.auto_recover) return app_next;
+      if (!cfg_.auto_recover) break;
       // Recovery completes (and logs) after `remaining` further recessive
       // bits; keep that bit itself on the stepped path so the events carry
       // their exact timestamps.
@@ -121,17 +119,69 @@ BitTime BitController::next_activity(BitTime now) const {
           static_cast<BitTime>(128 - busoff_idle_seqs_) * 11 -
           static_cast<BitTime>(busoff_recessive_run_);
       if (remaining <= 1) return kAlways;
-      return std::min(app_next, now + remaining - 1);
+      phase_next = now + remaining - 1;
+      break;
     }
-    case Phase::Transmit:
-    case Phase::Receive:
-    case Phase::ActiveFlag:
     case Phase::PassiveFlag:
-    case Phase::OverloadFlag:
     case Phase::ErrorDelim:
+    case Phase::Intermission:
+    case Phase::Suspend:
+      phase_next = recovery_next(now);
+      break;
+  }
+  if (phase_next <= now) return kAlways;
+  // Application hooks run every tick: a hook without a scheduling companion
+  // could enqueue at any bit, so it pins the controller to kAlways.
+  if (apps_due_ > now) return std::min(phase_next, apps_due_);
+  BitTime app_next = kNever;
+  for (const auto& app : apps_) {
+    if (!app.next) return kAlways;
+    const BitTime t = app.sticky ? app.cached_due : app.next(now);
+    if (t <= now) return kAlways;
+    app_next = std::min(app_next, t);
+  }
+  return std::min(phase_next, app_next);
+}
+
+BitTime BitController::recovery_next(BitTime now) const {
+  // On a recessive bus the tail runs: the rest of a passive flag (six equal
+  // levels), the 8-bit error delimiter, the 3-bit intermission, then either
+  // a SuspendStart, a FrameTxStart or a silent fall to Idle.  `end` is the
+  // bit of after_intermission(); `suspend` is what suspend_pending_ will
+  // hold there.
+  const bool passive = fault_.state() == ErrorState::ErrorPassive;
+  BitTime end = 0;
+  bool suspend = suspend_pending_;
+  switch (phase_) {
+    case Phase::Suspend:
+      return txq_.empty() ? kNever
+                          : now + static_cast<BitTime>(suspend_left_) - 1;
+    case Phase::Intermission:
+      end = now + static_cast<BitTime>(intermission_left_) - 1;
+      break;
+    case Phase::ErrorDelim: {
+      // Before the first recessive bit the whole 8-bit delimiter is ahead.
+      const int left = delim_seen_recessive_ ? delim_recessive_left_ : 8;
+      end = now + static_cast<BitTime>(left) + 2;
+      if (!delim_after_overload_) suspend = was_transmitter_ && passive;
+      break;
+    }
+    case Phase::PassiveFlag: {
+      const int run = passive_run_ > 0 && sim::is_recessive(passive_run_level_)
+                          ? passive_run_
+                          : 0;
+      const BitTime flag_end = now + static_cast<BitTime>(6 - run) - 1;
+      // The deferred ACK-error rule may bump TEC (and log) at the flag's
+      // last bit: stop there.
+      if (pending_ack_exception_) return flag_end;
+      end = flag_end + 11;
+      suspend = was_transmitter_ && passive;
+      break;
+    }
+    default:
       return kAlways;
   }
-  return kAlways;
+  return suspend || !txq_.empty() ? end : kNever;
 }
 
 void BitController::on_idle_skip(BitTime count) {
@@ -160,25 +210,80 @@ void BitController::on_idle_skip(BitTime count) {
         assert(busoff_idle_seqs_ < 128);
       }
       break;
+    case Phase::PassiveFlag:
+    case Phase::ErrorDelim:
     case Phase::Intermission:
     case Phase::Suspend:
-      // Replay bit by bit (at most ~11 iterations until Idle), advancing
-      // now_ so a SuspendStart event lands on its exact bit time.
-      for (BitTime i = 0; i < count && phase_ != Phase::Idle; ++i) {
-        now_ = orig_now + 1 + i;
-        on_bus_bit(BitLevel::Recessive);
-      }
+      skip_recovery_tail(count);
       break;
     case Phase::Transmit:
     case Phase::Receive:
     case Phase::ActiveFlag:
-    case Phase::PassiveFlag:
     case Phase::OverloadFlag:
-    case Phase::ErrorDelim:
       assert(false && "on_idle_skip in a non-quiescent phase");
       break;
   }
   now_ = orig_now + count;
+}
+
+void BitController::skip_recovery_tail(BitTime count) {
+  // What on_bus_bit(Recessive) does `count` times, phase by phase.
+  // recovery_next() ended the window before any bit that logs or starts a
+  // frame, so every phase boundary crossed here is a silent one.
+  if (phase_ == Phase::PassiveFlag) {
+    const int run = passive_run_ > 0 && sim::is_recessive(passive_run_level_)
+                        ? passive_run_
+                        : 0;
+    const BitTime need = static_cast<BitTime>(6 - run);
+    passive_run_level_ = BitLevel::Recessive;
+    if (count < need) {
+      passive_run_ = run + static_cast<int>(count);
+      return;
+    }
+    assert(!pending_ack_exception_);
+    passive_run_ = 6;
+    count -= need;
+    enter_error_delim();
+    if (count == 0) return;  // the delimiter has not seen its first bit
+  }
+  if (phase_ == Phase::ErrorDelim) {
+    const BitTime left = static_cast<BitTime>(
+        delim_seen_recessive_ ? delim_recessive_left_ : 8);
+    if (count < left) {
+      delim_seen_recessive_ = true;
+      delim_recessive_left_ = static_cast<int>(left - count);
+      return;
+    }
+    count -= left;
+    delim_seen_recessive_ = true;
+    delim_recessive_left_ = 0;
+    if (!delim_after_overload_) {
+      suspend_pending_ =
+          was_transmitter_ && fault_.state() == ErrorState::ErrorPassive;
+    }
+    enter_intermission();
+  }
+  if (phase_ == Phase::Intermission) {
+    const BitTime left = static_cast<BitTime>(intermission_left_);
+    if (count < left) {
+      intermission_left_ -= static_cast<int>(count);
+      return;
+    }
+    assert(!suspend_pending_ && txq_.empty());
+    intermission_left_ = 0;
+    consecutive_overloads_ = 0;
+    phase_ = Phase::Idle;
+    return;
+  }
+  if (phase_ == Phase::Suspend) {
+    if (count < static_cast<BitTime>(suspend_left_)) {
+      suspend_left_ -= static_cast<int>(count);
+      return;
+    }
+    assert(txq_.empty());
+    suspend_left_ = 0;
+    phase_ = Phase::Idle;
+  }
 }
 
 void BitController::log_event(EventKind kind, std::uint32_t id, std::int64_t a,

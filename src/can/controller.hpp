@@ -37,7 +37,7 @@
 
 namespace mcan::can {
 
-class BitController : public CanNode {
+class BitController final : public CanNode {
  public:
   struct Config {
     bool auto_retransmit{true};   // retransmit after errors/arbitration loss
@@ -126,6 +126,9 @@ class BitController : public CanNode {
   }
   [[nodiscard]] std::optional<CanId> active_tx_id() const noexcept;
   [[nodiscard]] std::size_t queue_depth() const noexcept { return txq_.size(); }
+  /// O(1) emptiness test for per-bit hooks (std::deque::size() is not a
+  /// plain load).
+  [[nodiscard]] bool queue_empty() const noexcept { return txq_.empty(); }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] sim::BitTime now() const noexcept { return now_; }
 
@@ -143,6 +146,42 @@ class BitController : public CanNode {
   [[nodiscard]] sim::BitTime next_activity(sim::BitTime now) const override;
   void on_idle_skip(sim::BitTime count) override;
   [[nodiscard]] std::string_view name() const override { return name_; }
+
+  // --- receiver groups ----------------------------------------------------
+  // WiredAndBus's quiescence tier parks the plain controllers that took the
+  // same SOF behind the first of them (the leader) and steps only the
+  // leader's receive engine.  Before a bit that could make the members
+  // diverge, each member adopts the leader's receive state and steps itself
+  // again, so the event log keeps the per-node order.
+
+  /// True on the bit this controller took a SOF as a receiver.
+  [[nodiscard]] bool rx_at_sof() const noexcept {
+    return phase_ == Phase::Receive && rx_.bits.size() == 1;
+  }
+  /// True while receiving inside the stuffed region (SOF..CRC end).
+  [[nodiscard]] bool rx_in_stuffed_region() const noexcept {
+    return phase_ == Phase::Receive &&
+           static_cast<int>(rx_.bits.size()) < rx_.stuffed_len();
+  }
+  /// True when the next received bit could make receivers in this exact
+  /// receive state act differently: a sixth equal level (stuff error, with
+  /// per-node REC and flag type) or the first bit past the stuffed region
+  /// (ACK, CRC and EOF handling).
+  [[nodiscard]] bool rx_may_diverge() const noexcept {
+    return rx_.destuff.run_length() == 5 ||
+           static_cast<int>(rx_.bits.size()) >= rx_.stuffed_len();
+  }
+  /// True when tick(now) may run an application hook (false only while
+  /// every hook is a sticky one cached as quiet until a later bit).
+  [[nodiscard]] bool app_due(sim::BitTime now) const noexcept {
+    return now >= apps_due_;
+  }
+  /// Take over `leader`'s receive state and clock: the state this
+  /// controller would hold had it been stepped alongside the leader.
+  void adopt_rx(const BitController& leader) {
+    rx_ = leader.rx_;
+    now_ = leader.now_;
+  }
 
  private:
   enum class Phase : std::uint8_t {
@@ -198,6 +237,12 @@ class BitController : public CanNode {
   void enter_intermission();
   void enter_bus_off();
   void after_intermission();
+  /// next_activity() for PassiveFlag, ErrorDelim, Intermission and Suspend:
+  /// the bit at which, on a recessive bus, the recovery tail logs its next
+  /// event or starts a queued frame; kNever when it falls idle silently.
+  [[nodiscard]] sim::BitTime recovery_next(sim::BitTime now) const;
+  /// on_idle_skip() for those phases, in closed form.
+  void skip_recovery_tail(sim::BitTime count);
   void check_state_transition(ErrorState before);
 
   std::string name_;

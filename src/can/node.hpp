@@ -40,14 +40,17 @@ class CanNode {
 
   /// Scheduling contract for the quiescence-skipping kernel.  Returns the
   /// earliest future bit T > now at which this node may drive a dominant
-  /// level, run application logic, or change observable state — PROVIDED the
-  /// bus stays recessive for all of [now, T).  Returning kAlways (or any
-  /// value <= now) opts the node out of skipping; kNever marks a purely
-  /// reactive node.  When every attached node returns T > now, the bus may
-  /// replace the per-bit stepping of [now, min T) with a single
-  /// on_idle_skip() call, so the promise must be exact: a node whose
+  /// level, run application logic, or log an event — PROVIDED the bus stays
+  /// recessive for all of [now, T).  Silent state changes (a delimiter or
+  /// intermission ending) may fall inside the window; on_idle_skip()
+  /// applies them.  Returning kAlways (or any value <= now) opts the node
+  /// out of skipping; kNever marks a purely reactive node.  When every
+  /// attached node returns T > now, the bus may replace the per-bit
+  /// stepping of [now, min T) with a single on_idle_skip() call and then
+  /// steps bit T itself, so the promise must be exact: a node whose
   /// tx_level() would have gone dominant before its advertised T violates
-  /// the contract (the bus detects this and throws).
+  /// the contract (the bus detects this and throws), and one that logs
+  /// inside the window logs at the wrong place in the event order.
   [[nodiscard]] virtual sim::BitTime next_activity(
       sim::BitTime /*now*/) const {
     return kAlways;
