@@ -290,6 +290,72 @@ void export_log_histograms(const sim::EventLog& log,
   }
 }
 
+/// Alarms raised on a frame no attacker owns.  On the attackers' own
+/// segment the log names the owner of the frame on the wire: the nodes
+/// that logged FrameTxStart the bit before its SOF contend for it, and an
+/// ArbitrationLost takes a contender out.  A TxError does not: a frame the
+/// attacker started stays its own even when line noise destroys it before
+/// the monitor's verdict, as when a flipped ID bit shows a neighbouring ID.
+/// Across a gateway the attack frame reaches the defender relayed under its
+/// own ID, so there an alarm is true when its ID is one an attacker
+/// injected (configured IDs for scripted profiles, the runtime set for
+/// fuzz/replay, extended IDs pre-expanded to their 11-bit base).
+std::uint64_t count_false_detections(
+    const sim::EventLog& log,
+    const std::vector<std::unique_ptr<attack::AttackerNode>>& attackers,
+    bool same_segment) {
+  std::uint64_t false_alarms = 0;
+  if (!same_segment) {
+    std::vector<can::CanId> ids;
+    for (const auto& a : attackers) {
+      for (const auto id : a->injected_ids()) ids.push_back(id);
+    }
+    for (const auto& ev : log.events()) {
+      if (ev.kind == EventKind::AttackDetected &&
+          std::find(ids.begin(), ids.end(), ev.id) == ids.end()) {
+        ++false_alarms;
+      }
+    }
+    return false_alarms;
+  }
+  // contending[i]: attacker i started the current frame and still holds it.
+  std::vector<bool> contending(attackers.size(), false);
+  sim::BitTime frame_start = 0;
+  const auto attacker_index = [&](const std::string& node) {
+    for (std::size_t i = 0; i < attackers.size(); ++i) {
+      if (attackers[i]->node().name() == node) return i;
+    }
+    return attackers.size();
+  };
+  for (const auto& ev : log.events()) {
+    switch (ev.kind) {
+      case EventKind::FrameTxStart: {
+        if (ev.at != frame_start) {
+          frame_start = ev.at;
+          contending.assign(attackers.size(), false);
+        }
+        const auto i = attacker_index(ev.node);
+        if (i < attackers.size()) contending[i] = true;
+        break;
+      }
+      case EventKind::ArbitrationLost: {
+        const auto i = attacker_index(ev.node);
+        if (i < attackers.size()) contending[i] = false;
+        break;
+      }
+      case EventKind::AttackDetected:
+        if (std::find(contending.begin(), contending.end(), true) ==
+            contending.end()) {
+          ++false_alarms;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return false_alarms;
+}
+
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentSpec& spec) {
@@ -461,22 +527,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
           : static_cast<double>(mon.detection_bit_sum) /
                 static_cast<double>(mon.attacks_detected);
 
-  // Classify detections: a verdict whose observed ID belongs to no attacker
-  // flagged legitimate traffic.  The denominator of the detection rate is
-  // the number of attack frames actually started.  Each attacker reports
-  // its own IDs (configured list for scripted profiles, runtime-injected
-  // set for fuzz/replay, extended IDs pre-expanded to their 11-bit base).
-  std::vector<can::CanId> attacker_ids;
-  for (const auto& a : attackers) {
-    for (const auto id : a->injected_ids()) attacker_ids.push_back(id);
-  }
-  for (const auto& ev : defender_bus.log().events()) {
-    if (ev.kind != EventKind::AttackDetected) continue;
-    if (std::find(attacker_ids.begin(), attacker_ids.end(), ev.id) ==
-        attacker_ids.end()) {
-      ++res.false_detections;
-    }
-  }
+  res.false_detections = count_false_detections(
+      defender_bus.log(), attackers, &attacker_bus == &defender_bus);
   for (const auto& out : res.attackers) {
     res.attacker_frames += out.retransmissions;
   }

@@ -139,9 +139,10 @@ struct ExperimentResult {
 
   // Fault-injection forensics (all zero on a clean bus).
   can::FaultInjector::Stats faults;
-  /// AttackDetected verdicts whose observed ID is *not* one of the
-  /// attackers' IDs: the defense flagged legitimate traffic (arbitration
-  /// false positives, e.g. a bit flip inside a benign ID).
+  /// AttackDetected verdicts raised while no attacker was transmitting:
+  /// the defense flagged legitimate traffic (arbitration false positives,
+  /// e.g. a bit flip inside a benign ID).  Behind a gateway, where the
+  /// attack frame arrives relayed, the observed ID decides instead.
   std::uint64_t false_detections{};
   /// Frame transmissions started by compliant attackers — the denominator
   /// of the arbitration detection (and miss) rate.

@@ -88,5 +88,21 @@ TEST(FaultSweepProperty, LoneFalseAlarmIsARateOverBenignFrames) {
   EXPECT_LT(rep.rows[0].fp_rate, 0.01);
 }
 
+TEST(FaultSweepProperty, NoiseFlippedAttackIdsAreNotFalseAlarms) {
+  // An isolated DoS bus carries no benign frame, so no alarm on it can be
+  // false.  Line noise makes the monitor log some attack frames under a
+  // one-bit neighbour of 0x064, but the attacker still owns those frames.
+  runner::FaultSweepConfig cfg;
+  cfg.base_specs = {analysis::table2_experiment(4)};
+  cfg.bers = {1e-4};
+  cfg.seeds = {0, 32};
+  cfg.jobs = 2;
+  const auto rep = runner::run_fault_sweep(cfg);
+  ASSERT_EQ(rep.rows.size(), 1u);
+  EXPECT_GT(rep.campaign.specs[0].attacks_detected, 0u);
+  EXPECT_EQ(rep.campaign.specs[0].false_detections, 0u);
+  EXPECT_EQ(rep.rows[0].fp_rate, 0.0);
+}
+
 }  // namespace
 }  // namespace mcan
