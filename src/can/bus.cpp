@@ -15,11 +15,6 @@ namespace {
 /// interframe-plus-SOF worth of bits before probing again.
 constexpr sim::BitTime kProbeBackoff = 11;
 
-/// A dominant run this long is an error or overload flag: the first
-/// recessive bit after it may start a recovery tail, so it is probed even
-/// inside a backoff.
-constexpr int kFlagRun = 6;
-
 }  // namespace
 
 void WiredAndBus::attach(CanNode& node) {
@@ -191,11 +186,6 @@ void WiredAndBus::run(sim::Bits bits) {
     }
     const auto previous = last_;
     step();
-    if (sim::is_recessive(last_)) {
-      dominant_run_ = 0;
-    } else if (++dominant_run_ == kFlagRun) {
-      skip_retry_at_ = 0;
-    }
     if (fast_path_) track_group(previous);
   }
   // Leave every node's state exact at the run() boundary.

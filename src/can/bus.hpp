@@ -131,9 +131,6 @@ class WiredAndBus {
   bool fast_path_{true};
   std::uint64_t bits_skipped_{0};
   std::uint64_t node_bits_parked_{0};
-  /// Consecutive dominant bits ending at now_: six or more is an error or
-  /// overload flag, after which a recovery tail may be skipped.
-  int dominant_run_{0};
   /// Cheap backoff: after a failed horizon probe, don't re-probe until here.
   sim::BitTime skip_retry_at_{0};
   sim::LogicAnalyzer trace_;

@@ -147,12 +147,14 @@ class BitController final : public CanNode {
   void on_idle_skip(sim::BitTime count) override;
   [[nodiscard]] std::string_view name() const override { return name_; }
 
+ private:
   // --- receiver groups ----------------------------------------------------
   // WiredAndBus's quiescence tier parks the plain controllers that took the
   // same SOF behind the first of them (the leader) and steps only the
   // leader's receive engine.  Before a bit that could make the members
   // diverge, each member adopts the leader's receive state and steps itself
   // again, so the event log keeps the per-node order.
+  friend class WiredAndBus;
 
   /// True on the bit this controller took a SOF as a receiver.
   [[nodiscard]] bool rx_at_sof() const noexcept {
@@ -183,7 +185,6 @@ class BitController final : public CanNode {
     now_ = leader.now_;
   }
 
- private:
   enum class Phase : std::uint8_t {
     Integrating,   // wait for 11 recessive bits before participating
     Idle,          // bus idle, may start transmitting
