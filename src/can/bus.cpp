@@ -114,34 +114,16 @@ void WiredAndBus::park_members() {
 
 void WiredAndBus::unpark_members() {
   for (const std::size_t m : members_) {
-    plain_[m]->adopt_rx(*plain_[leader_]);
+    plain_[m]->adopt_group_state(*plain_[leader_]);
     parked_[m] = 0;
   }
   members_parked_ = false;
 }
 
-void WiredAndBus::track_group(sim::BitLevel previous) {
-  if (!members_.empty()) {
-    // The members stepped this bit themselves from the leader's state, so
-    // they still match it unless the bit ended the shared decode.
-    if (!members_parked_) {
-      if (plain_[leader_]->rx_in_stuffed_region()) {
-        park_members();
-      } else {
-        members_.clear();
-      }
-    }
-    return;
-  }
-  // A SOF is a falling edge; with per-node sample skew every receiver may
-  // read a different level, so no group forms.
-  if (!sim::is_recessive(previous) || sim::is_recessive(last_) ||
-      (injector_ != nullptr && injector_->has_skew())) {
-    return;
-  }
+void WiredAndBus::form_group(bool (BitController::*joins)() const) {
   bool have_leader = false;
   for (std::size_t i = 0; i < plain_.size(); ++i) {
-    if (plain_[i] == nullptr || !plain_[i]->rx_at_sof()) continue;
+    if (plain_[i] == nullptr || !(plain_[i]->*joins)()) continue;
     if (have_leader) {
       members_.push_back(i);
     } else {
@@ -150,6 +132,29 @@ void WiredAndBus::track_group(sim::BitLevel previous) {
     }
   }
   if (!members_.empty()) park_members();
+}
+
+void WiredAndBus::track_group(sim::BitLevel previous) {
+  if (!members_.empty()) {
+    if (members_parked_) return;
+    // The members stepped this bit themselves from the leader's state, so
+    // they still match it while the leader decodes the stuffed region.
+    if (plain_[leader_]->rx_in_stuffed_region()) {
+      park_members();
+      return;
+    }
+    // The shared decode or flag ended.  A frame that failed here leaves
+    // every receiver that saw the error start the same active flag.
+    members_.clear();
+    form_group(&BitController::flag_started);
+    return;
+  }
+  // A SOF is a falling edge; with per-node sample skew every receiver may
+  // read a different level, so no group forms.
+  if (sim::is_recessive(previous) && !sim::is_recessive(last_) &&
+      (injector_ == nullptr || !injector_->has_skew())) {
+    form_group(&BitController::rx_at_sof);
+  }
 }
 
 // The quiescence tier does two things the naive per-bit loop does not.
@@ -162,8 +167,9 @@ void WiredAndBus::track_group(sim::BitLevel previous) {
 // are skipped this way.
 //
 // Receiver groups: the plain controllers that took the same SOF share the
-// leader's decode while it cannot differ from theirs (see track_group);
-// step() leaves the parked members out.
+// leader's decode while it cannot differ from theirs, and those that start
+// an active error flag on the same bit share the leader's flag (see
+// track_group); step() leaves the parked members out.
 void WiredAndBus::run(sim::Bits bits) {
   const sim::BitTime end = sim::sat_add(now_, bits.value());
   while (now_ < end) {
@@ -178,7 +184,7 @@ void WiredAndBus::run(sim::Bits bits) {
       skip_retry_at_ = now_ + kProbeBackoff;
     }
     if (members_parked_) {
-      if (plain_[leader_]->rx_may_diverge()) {
+      if (plain_[leader_]->group_may_diverge()) {
         unpark_members();
       } else {
         node_bits_parked_ += members_.size();

@@ -107,10 +107,13 @@ class WiredAndBus {
   /// Receiver groups, after the bit just stepped (`previous` = the level
   /// before it): on a SOF, park every plain receiver that took it behind
   /// the first one; after a bit the members stepped themselves, park them
-  /// again while the leader still decodes the stuffed region.
+  /// again while the leader still decodes the stuffed region, or else
+  /// group the plain controllers that began an active flag on that bit.
   void track_group(sim::BitLevel previous);
+  /// Group the plain controllers for which `joins` holds behind the first.
+  void form_group(bool (BitController::*joins)() const);
   void park_members();
-  /// Hand every parked member the leader's receive state and step it again.
+  /// Hand every parked member the leader's state and step it again.
   void unpark_members();
 
   sim::BusSpeed speed_;

@@ -151,25 +151,33 @@ class BitController final : public CanNode {
   // --- receiver groups ----------------------------------------------------
   // WiredAndBus's quiescence tier parks the plain controllers that took the
   // same SOF behind the first of them (the leader) and steps only the
-  // leader's receive engine.  Before a bit that could make the members
-  // diverge, each member adopts the leader's receive state and steps itself
-  // again, so the event log keeps the per-node order.
+  // leader's receive engine; when such a frame fails, the controllers that
+  // start an active error flag on the same bit form the next group.  Before
+  // a bit that could make the members diverge, each member adopts the
+  // leader's state and steps itself again, so the event log keeps the
+  // per-node order.
   friend class WiredAndBus;
 
   /// True on the bit this controller took a SOF as a receiver.
   [[nodiscard]] bool rx_at_sof() const noexcept {
     return phase_ == Phase::Receive && rx_.bits.size() == 1;
   }
+  /// True on the bit this controller began an active error flag.
+  [[nodiscard]] bool flag_started() const noexcept {
+    return phase_ == Phase::ActiveFlag && flag_bits_left_ == 6;
+  }
   /// True while receiving inside the stuffed region (SOF..CRC end).
   [[nodiscard]] bool rx_in_stuffed_region() const noexcept {
     return phase_ == Phase::Receive &&
            static_cast<int>(rx_.bits.size()) < rx_.stuffed_len();
   }
-  /// True when the next received bit could make receivers in this exact
-  /// receive state act differently: a sixth equal level (stuff error, with
+  /// True when the next bit could make controllers in this exact state act
+  /// differently.  A receiver: a sixth equal level (stuff error, with
   /// per-node REC and flag type) or the first bit past the stuffed region
-  /// (ACK, CRC and EOF handling).
-  [[nodiscard]] bool rx_may_diverge() const noexcept {
+  /// (ACK, CRC and EOF handling).  An active flag, which ignores the bus:
+  /// its last bit, after which the delimiter counts per-node REC.
+  [[nodiscard]] bool group_may_diverge() const noexcept {
+    if (phase_ == Phase::ActiveFlag) return flag_bits_left_ <= 1;
     return rx_.destuff.run_length() == 5 ||
            static_cast<int>(rx_.bits.size()) >= rx_.stuffed_len();
   }
@@ -178,11 +186,15 @@ class BitController final : public CanNode {
   [[nodiscard]] bool app_due(sim::BitTime now) const noexcept {
     return now >= apps_due_;
   }
-  /// Take over `leader`'s receive state and clock: the state this
+  /// Take over the group `leader`'s shared state and clock: the state this
   /// controller would hold had it been stepped alongside the leader.
-  void adopt_rx(const BitController& leader) {
-    rx_ = leader.rx_;
+  void adopt_group_state(const BitController& leader) {
     now_ = leader.now_;
+    if (phase_ == Phase::ActiveFlag) {
+      flag_bits_left_ = leader.flag_bits_left_;
+    } else {
+      rx_ = leader.rx_;
+    }
   }
 
   enum class Phase : std::uint8_t {

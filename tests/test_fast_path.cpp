@@ -552,8 +552,9 @@ struct GroupRecording {
 /// A transmitter and seven receivers that differ in everything a shared
 /// decode must not blur: error state (rx3 is error-passive), ACK behaviour
 /// (rx5 never acknowledges) and a periodic hook that comes due mid-frame
-/// (rx6).  The first frame is destroyed by a stuff error, a scripted frame
-/// ends in a CRC error, the rest are valid and stuff-heavy.
+/// (rx6).  The first frame is destroyed by a stuff error (the receivers
+/// then share one active flag), a scripted frame ends in a CRC error, the
+/// rest are valid and stuff-heavy.
 GroupRecording record_group_bus(bool fast_path) {
   can::WiredAndBus bus{sim::BusSpeed{50'000}};
   bus.set_fast_path(fast_path);
