@@ -167,10 +167,8 @@ BitTime BitController::recovery_next(BitTime now) const {
       break;
     }
     case Phase::PassiveFlag: {
-      const int run = passive_run_ > 0 && sim::is_recessive(passive_run_level_)
-                          ? passive_run_
-                          : 0;
-      const BitTime flag_end = now + static_cast<BitTime>(6 - run) - 1;
+      const BitTime flag_end =
+          now + static_cast<BitTime>(6 - passive_recessive_run()) - 1;
       // The deferred ACK-error rule may bump TEC (and log) at the flag's
       // last bit: stop there.
       if (pending_ack_exception_) return flag_end;
@@ -231,9 +229,7 @@ void BitController::skip_recovery_tail(BitTime count) {
   // recovery_next() ended the window before any bit that logs or starts a
   // frame, so every phase boundary crossed here is a silent one.
   if (phase_ == Phase::PassiveFlag) {
-    const int run = passive_run_ > 0 && sim::is_recessive(passive_run_level_)
-                        ? passive_run_
-                        : 0;
+    const int run = passive_recessive_run();
     const BitTime need = static_cast<BitTime>(6 - run);
     passive_run_level_ = BitLevel::Recessive;
     if (count < need) {

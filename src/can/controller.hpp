@@ -256,6 +256,13 @@ class BitController final : public CanNode {
   [[nodiscard]] sim::BitTime recovery_next(sim::BitTime now) const;
   /// on_idle_skip() for those phases, in closed form.
   void skip_recovery_tail(sim::BitTime count);
+  /// Recessive bits a passive flag has already counted toward its six
+  /// equal levels: 0 while the current run is dominant.
+  [[nodiscard]] int passive_recessive_run() const noexcept {
+    return passive_run_ > 0 && sim::is_recessive(passive_run_level_)
+               ? passive_run_
+               : 0;
+  }
   void check_state_transition(ErrorState before);
 
   std::string name_;
