@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "helpers.hpp"
 #include "analysis/scenarios.hpp"
 #include "can/bitstream.hpp"
 #include "can/bus.hpp"
@@ -34,6 +33,7 @@
 #include "can/fault_injector.hpp"
 #include "can/node.hpp"
 #include "can/periodic.hpp"
+#include "helpers.hpp"
 #include "obs/timeline.hpp"
 #include "runner/campaign.hpp"
 #include "runner/report.hpp"
